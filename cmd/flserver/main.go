@@ -146,7 +146,7 @@ func serveObs(addr, title string, progress func() []obs.PopulationProgress) *obs
 // runCoordinator is flserver's coordinator mode: one population, round
 // state and the lock service owned here, device traffic terminated by the
 // flselector shards that dial in.
-func runCoordinator(shardListen, obsListen, population string, p *repro.Plan, store storage.Store, rounds, minShards int, sealGrace, tickEvery time.Duration) {
+func runCoordinator(shardListen, obsListen, population string, p *repro.Plan, store storage.Store, rounds, minShards int, sealGrace time.Duration) {
 	coord, err := shard.NewCoordinatorProc(shard.CoordinatorConfig{
 		Population: population,
 		Plans:      []*repro.Plan{p},
@@ -155,7 +155,6 @@ func runCoordinator(shardListen, obsListen, population string, p *repro.Plan, st
 		MaxRounds:  rounds,
 		MinShards:  minShards,
 		SealGrace:  sealGrace,
-		TickEvery:  tickEvery,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -265,7 +264,6 @@ func main() {
 	shardListen := flag.String("shard-listen", "", "coordinator mode: listen for flselector shard links on this address instead of serving devices")
 	minShards := flag.Int("min-shards", 1, "coordinator mode: shards required before a round starts")
 	sealGrace := flag.Duration("seal-grace", 0, "coordinator mode: wait for straggler seals after the report deadline before settling a partial round (0 = default 2s)")
-	tickEvery := flag.Duration("tick-every", 0, "coordinator mode: round scheduling tick (0 = default 250ms)")
 	obsListen := flag.String("obs-listen", "", "serve /metrics, /debug/vars, /debug/pprof and /dashboard on this address (empty = off)")
 	clip := flag.Float64("clip", 0, "norm-bound robust aggregation: clip each update's per-example-average L2 norm at this bound (0 = plain weighted mean)")
 	flag.Parse()
@@ -302,7 +300,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		runCoordinator(*shardListen, *obsListen, name, p, store, *rounds, *minShards, *sealGrace, *tickEvery)
+		runCoordinator(*shardListen, *obsListen, name, p, store, *rounds, *minShards, *sealGrace)
 		return
 	}
 

@@ -51,10 +51,9 @@ type ScenarioConfig struct {
 	WrapDevices bool
 
 	// ReportTimeout bounds each round's report window (default 3s);
-	// SealGrace and TickEvery tune the coordinator (defaults 500ms / 50ms).
+	// SealGrace tunes the coordinator (default 500ms).
 	ReportTimeout time.Duration
 	SealGrace     time.Duration
-	TickEvery     time.Duration
 	// Peer tunes the shard→coordinator links; the zero value uses fast
 	// failure detection (20ms heartbeat, 3 misses) so partitions are
 	// noticed within the scenario's timescale.
@@ -128,9 +127,6 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	if cfg.SealGrace <= 0 {
 		cfg.SealGrace = 500 * time.Millisecond
 	}
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = 50 * time.Millisecond
-	}
 	if cfg.Peer.HeartbeatInterval == 0 && cfg.Peer.HeartbeatMiss == 0 {
 		cfg.Peer = fastPeer()
 	}
@@ -182,7 +178,6 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		// a shard is partitioned away, not stall the fleet.
 		MinShards: 1,
 		SealGrace: cfg.SealGrace,
-		TickEvery: cfg.TickEvery,
 	})
 	if err != nil {
 		return res, err

@@ -165,6 +165,20 @@ func (a *Accumulator) Average() (tensor.Vector, error) {
 	return avg, nil
 }
 
+// ApplyAverage performs the server step w_{t+1} = w_t + w̄/n̄ in place,
+// without materializing the average: the same arithmetic as Average
+// followed by Apply, one O(dim) vector fewer.
+func (a *Accumulator) ApplyAverage(global tensor.Vector) error {
+	if a.weight <= 0 {
+		return fmt.Errorf("fedavg: empty accumulator")
+	}
+	if len(global) != len(a.sum) {
+		return fmt.Errorf("fedavg: apply dim %d vs %d", len(global), len(a.sum))
+	}
+	global.Axpy(1/a.weight, a.sum)
+	return nil
+}
+
 // Apply performs the server step w_{t+1} = w_t + Δ in place.
 func Apply(global, avgDelta tensor.Vector) error {
 	if len(global) != len(avgDelta) {

@@ -271,7 +271,7 @@ func (f *Fleet) spawnCoordinator(entry *popEntry) {
 		return
 	}
 	coord := f.sys.Spawn("coordinator/"+name,
-		flserver.NewCoordinator(name, f.lock, entry.spec.Store, entry.tasks, f.selectors,
+		flserver.NewCoordinator(name, f.lock, entry.spec.Store, entry.tasks, flserver.SelectorLayer(name, f.selectors),
 			entry.spec.MaxRounds, entry.done, f.cfg.Now).
 			WithPacing(entry.spec.Steering, entry.spec.PopulationEstimate))
 	entry.coord = coord

@@ -93,7 +93,7 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 			popTasks := f.pops[pop].tasks
 			f.mu.Unlock()
 			rival := f.sys.Spawn("rival-coordinator/"+pop,
-				flserver.NewCoordinator(pop, f.lock, spec.Store, popTasks, f.selectors, 0, nil, nil))
+				flserver.NewCoordinator(pop, f.lock, spec.Store, popTasks, flserver.SelectorLayer(pop, f.selectors), 0, nil, nil))
 			rivals[pop] = rival
 			if err := flserver.StartCoordinator(rival); err != nil {
 				t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/protocol"
@@ -575,14 +574,15 @@ func (ma *MasterAggregator) Receive(ctx *actor.Context, msg actor.Message) {
 
 func (ma *MasterAggregator) onStart(ctx *actor.Context) {
 	ma.startedAt = ma.now()
+	// Split the round's admit count across the Selectors: each is told how
+	// many devices to accept (Sec. 4.2) and to stream them here.
 	target := ma.plan.Server.SelectTarget()
-	per := target / len(ma.selectors)
-	extra := target % len(ma.selectors)
 	for i, sel := range ma.selectors {
-		n := per
-		if i < extra {
+		n := target / len(ma.selectors)
+		if i < target%len(ma.selectors) {
 			n++
 		}
+		_ = sel.Send(msgSetQuota{Population: ma.plan.Population, Accept: n})
 		_ = sel.Send(msgForwardDevices{Population: ma.plan.Population, N: n, To: ctx.Self})
 	}
 	self := ctx.Self
@@ -1200,47 +1200,6 @@ func (ma *MasterAggregator) onGroupResult(ctx *actor.Context, m msgGroupResult) 
 			}
 		}
 	}
-	if reports < ma.plan.Server.MinReports() {
-		reason := fmt.Sprintf("only %d reports survived aggregation (< min %d)",
-			reports, ma.plan.Server.MinReports())
-		if len(groupErrs) > 0 {
-			reason += "; group errors: " + strings.Join(groupErrs, "; ")
-		}
-		ma.fail(ctx, reason)
-		return
-	}
-	commitStart := ma.now()
-	newGlobal := ma.global
-	if !evalOnly {
-		avg, err := acc.Average()
-		if err != nil {
-			ma.fail(ctx, "average: "+err.Error())
-			return
-		}
-		newGlobal = ma.global.Clone()
-		newGlobal.Round++
-		newGlobal.Weight = acc.Weight()
-		if err := fedavg.Apply(newGlobal.Params, avg); err != nil {
-			ma.fail(ctx, "apply: "+err.Error())
-			return
-		}
-		// The single write to persistent storage for this round.
-		if err := ma.store.PutCheckpoint(newGlobal); err != nil {
-			ma.fail(ctx, "commit: "+err.Error())
-			return
-		}
-	}
-	mat := &metrics.Materialized{TaskName: ma.plan.ID, Round: newGlobal.Round, Stats: map[string]metrics.Snapshot{}}
-	for name, vs := range metricVals {
-		s := metrics.NewSummary()
-		for _, v := range vs {
-			s.Add(v)
-		}
-		mat.Stats[name] = s.Snapshot()
-	}
-	_ = ma.store.PutMetrics(mat)
-	commitNanos := ma.now().Sub(commitStart).Nanoseconds()
-
 	aborted := 0
 	for _, ds := range ma.devices {
 		if !ds.reported && !ds.lost {
@@ -1248,36 +1207,36 @@ func (ma *MasterAggregator) onGroupResult(ctx *actor.Context, m msgGroupResult) 
 		}
 	}
 	ma.state = "done"
-	ma.recordTrace(true, newGlobal.Round, reports, aborted, len(blamed), edgeNanos, commitNanos, "")
-	_ = ma.coord.Send(msgRoundComplete{
-		TaskID:         ma.plan.ID,
-		Round:          newGlobal.Round,
-		Committed:      newGlobal,
-		Completed:      reports,
-		Aborted:        aborted,
+	ma.settler().Settle(RoundOutcome{
+		Start:          ma.startedAt,
+		Acc:            acc,
+		Reports:        reports,
+		Metrics:        metricVals,
 		Lost:           ma.lost,
+		Aborted:        aborted,
+		Phases:         ma.phases(edgeNanos),
 		GroupErrors:    groupErrs,
-		BlamedDevices:  blamed,
+		Blamed:         blamed,
 		RobustRejected: robustRejected,
 		Clipped:        int(ma.clipped.Load()),
 	})
 	ctx.Stop()
 }
 
-// recordTrace materializes this round's phase trace through the process
-// registry (fl_round_phase_seconds series, committed/failed counters) and
-// persists one JSONL record when the store supports obs.TraceStore.
-func (ma *MasterAggregator) recordTrace(committed bool, round int64, reports, aborted, blamed int, edgeNanos, commitNanos int64, failReason string) {
-	phases := make(map[string]int64, 8)
-	put := func(name string, ns int64) {
-		if ns > 0 {
-			phases[name] = ns
-		}
+// settler is the round's shared commit path.
+func (ma *MasterAggregator) settler() RoundSettler {
+	return RoundSettler{Plan: ma.plan, Global: ma.global, Store: ma.store, Coord: ma.coord, Now: ma.now}
+}
+
+// phases collects the round's trace spans measured so far; edgeNanos is
+// zero for a round that failed before its window closed.
+func (ma *MasterAggregator) phases(edgeNanos int64) map[string]int64 {
+	phases := map[string]int64{
+		obs.PhaseCheckin:        ma.checkinNanos,
+		obs.PhaseConfigure:      ma.configNanos.Load(),
+		obs.PhaseReportWindow:   ma.windowNanos,
+		obs.PhaseEdgeAccumulate: edgeNanos,
 	}
-	put(obs.PhaseCheckin, ma.checkinNanos)
-	put(obs.PhaseConfigure, ma.configNanos.Load())
-	put(obs.PhaseReportWindow, ma.windowNanos)
-	put(obs.PhaseEdgeAccumulate, edgeNanos)
 	for name, d := range ma.secPhases {
 		key := "secagg_" + name
 		if strings.HasPrefix(name, "robust_") {
@@ -1285,29 +1244,13 @@ func (ma *MasterAggregator) recordTrace(committed bool, round int64, reports, ab
 			// channel but is not a secagg phase.
 			key = name
 		}
-		put(key, d.Nanoseconds())
+		phases[key] = d.Nanoseconds()
 	}
-	put(obs.PhaseCommit, commitNanos)
-	ts, _ := ma.store.(obs.TraceStore)
-	_ = obs.Default.RecordTrace(obs.RoundTrace{
-		Population: ma.plan.Population,
-		TaskID:     ma.plan.ID,
-		Round:      round,
-		Start:      ma.startedAt,
-		TotalNanos: ma.now().Sub(ma.startedAt).Nanoseconds(),
-		Phases:     phases,
-		Committed:  committed,
-		Reports:    reports,
-		Lost:       ma.lost,
-		Aborted:    aborted,
-		Blamed:     blamed,
-		FailReason: failReason,
-	}, ts)
+	return phases
 }
 
 func (ma *MasterAggregator) fail(ctx *actor.Context, reason string) {
 	ma.state = "done"
-	ma.recordTrace(false, ma.global.Round, ma.completed, 0, 0, 0, 0, reason)
 	if ma.ingest != nil {
 		// Seal the stripes: readers still in flight get ErrPartialClosed
 		// rather than folding into an abandoned round.
@@ -1324,7 +1267,7 @@ func (ma *MasterAggregator) fail(ctx *actor.Context, reason string) {
 	for _, agg := range ma.aggs {
 		agg.Stop()
 	}
-	_ = ma.coord.Send(msgRoundFailed{TaskID: ma.plan.ID, Round: ma.global.Round, Reason: reason})
+	ma.settler().Fail(RoundOutcome{Start: ma.startedAt, Reports: ma.completed, Lost: ma.lost, Phases: ma.phases(0)}, reason)
 	ctx.Stop()
 }
 

@@ -14,12 +14,17 @@ import (
 )
 
 // Coordinator is the top-level actor for one FL population (Sec. 4.2): it
-// holds the population's lock, schedules FL tasks, instructs Selectors how
-// many devices to accept, spawns a Master Aggregator per round, and
-// restarts rounds whose Master Aggregator fails (Sec. 4.4).
+// holds the population's lock, schedules FL tasks, spawns one per-round
+// actor per round through its Topology, and restarts rounds whose actor
+// fails (Sec. 4.4). The same Coordinator serves every deployment; only the
+// per-round actor differs (a MasterAggregator over local Selectors, or the
+// sharded deployment's seal collector over selector processes).
 //
-// Task scheduling is pulled from the population's TaskSet every tick
-// (Sec. 7.1: the service "chooses among them using a dynamic strategy"):
+// Scheduling is event-driven: a pass runs when the Coordinator starts, when
+// a round settles, on every task op, on retry timers and whenever the
+// Topology reports a change (a shard connecting). Each pass pulls the next
+// task from the population's TaskSet (Sec. 7.1: the service "chooses among
+// them using a dynamic strategy"):
 // due eval tasks first, then weighted round-robin over active train tasks.
 // Lifecycle mutations (submit / pause / resume / retire) arrive as mailbox
 // messages, so they serialize with scheduling — a retired task's in-flight
@@ -31,7 +36,7 @@ type Coordinator struct {
 	lock       *actor.LockService
 	store      storage.Store
 	tasks      *tasks.TaskSet
-	selectors  []actor.Ref
+	topo       Topology
 	// MaxRounds stops the coordinator after that many successful rounds
 	// (0 = run forever). Tests and benchmarks set it.
 	maxRounds int
@@ -39,22 +44,20 @@ type Coordinator struct {
 
 	acquired    bool
 	global      map[string]*checkpoint.Checkpoint // per task lineage
-	currentMA   actor.Ref
+	current     actor.Ref
 	currentTask string
 	completed   int
 	failed      int
-	// drained records that maxRounds was reached and the Selectors told to
+	// drained records that maxRounds was reached and the Topology told to
 	// release this population's parked devices.
 	drained bool
 	// onDone, if non-nil, is signalled when maxRounds is reached.
 	onDone chan struct{}
 
-	// Live population estimation (WithPacing): every tick probes the
-	// Selectors for observed check-in rates; each msgCheckinRate sample
+	// Live population estimation (WithPacing): each msgCheckinRate sample
+	// (probed from local Selectors every pass, or relayed by shards)
 	// refreshes the TaskSet's population estimate, so MinDevices gates
 	// track the reachable population instead of the static config value.
-	// The folding itself lives in pacing.RateTracker, shared with the
-	// sharded coordinator (which folds one sample stream per shard).
 	steering  *pacing.Steering
 	rates     *pacing.RateTracker
 	gateRetry bool
@@ -70,14 +73,84 @@ func (c *Coordinator) WithPacing(st *pacing.Steering, staticEstimate int) *Coord
 	return c
 }
 
-// loadRetryDelay is the backoff before retrying a tick whose task failed
-// to load its checkpoint (e.g. an eval task whose base has not committed
-// yet, or a transient storage read error).
+// loadRetryDelay is the backoff before retrying a pass whose task failed
+// to load its checkpoint or start its round (e.g. an eval task whose base
+// has not committed yet, or a transient storage read error).
 const loadRetryDelay = time.Second
 
+// Topology is the part of a population's actor tree below its Coordinator
+// that differs between deployments. Every method runs on the Coordinator's
+// goroutine.
+type Topology interface {
+	// Ready runs at the start of every scheduling pass and reports whether
+	// a round could start now. Not being ready defers the round without
+	// counting a failure.
+	Ready(ctx *actor.Context) bool
+	// StartRound starts the per-round actor for task t through SpawnRound
+	// and returns it. The actor ends its round with exactly one call to
+	// s.Settle or s.Fail. An error counts as a failed round.
+	StartRound(ctx *actor.Context, t tasks.Task, s RoundSettler) (actor.Ref, error)
+	// Drain tells the layer below that no further round will start, so it
+	// releases the population's parked devices.
+	Drain(ctx *actor.Context)
+	// Receive handles a message the Coordinator does not know. It returns
+	// true when a scheduling pass should follow.
+	Receive(ctx *actor.Context, msg actor.Message) bool
+}
+
+// SpawnRound spawns a per-round actor as a child of the Coordinator whose
+// context is ctx and watches it, so a crashed round is counted and
+// restarted (Sec. 4.4).
+func SpawnRound(ctx *actor.Context, name string, b actor.Behavior) actor.Ref {
+	ref := ctx.Spawn(name, b)
+	ctx.Watch(ref)
+	return ref
+}
+
+// selectorLayer is the single-process Topology: each round runs on a
+// MasterAggregator over the process's Selectors.
+type selectorLayer struct {
+	population string
+	selectors  []actor.Ref
+}
+
+// SelectorLayer returns the single-process Topology for population over
+// the given Selectors.
+func SelectorLayer(population string, selectors []actor.Ref) Topology {
+	return selectorLayer{population: population, selectors: selectors}
+}
+
+// Ready probes every Selector for its check-in arrivals since the last
+// pass. Fire-and-forget: the samples return as msgCheckinRate messages, so
+// the Coordinator never blocks on a Selector.
+func (l selectorLayer) Ready(ctx *actor.Context) bool {
+	for _, sel := range l.selectors {
+		_ = sel.Send(msgRateProbe{Population: l.population, To: ctx.Self})
+	}
+	return true
+}
+
+func (l selectorLayer) StartRound(ctx *actor.Context, t tasks.Task, s RoundSettler) (actor.Ref, error) {
+	ma := SpawnRound(ctx, fmt.Sprintf("ma/%s/r%d", s.Plan.ID, s.Global.Round),
+		NewMasterAggregator(s.Plan, s.Global, s.Store, s.Coord, l.selectors, t.Policy.MinRuntimeVersion, s.Now))
+	_ = ma.Send(msgStartRound{})
+	return ma, nil
+}
+
+// Drain releases the parked devices (and their half-open connections) the
+// Selectors are holding for the population, instead of stranding them
+// until process teardown.
+func (l selectorLayer) Drain(*actor.Context) {
+	for _, sel := range l.selectors {
+		_ = sel.Send(msgReleaseParked{Population: l.population})
+	}
+}
+
+func (selectorLayer) Receive(*actor.Context, actor.Message) bool { return false }
+
 // NewCoordinator returns the behavior for a population coordinator driving
-// rounds for the tasks registered in ts.
-func NewCoordinator(population string, lock *actor.LockService, store storage.Store, ts *tasks.TaskSet, selectors []actor.Ref, maxRounds int, onDone chan struct{}, now func() time.Time) *Coordinator {
+// rounds for the tasks registered in ts on topo.
+func NewCoordinator(population string, lock *actor.LockService, store storage.Store, ts *tasks.TaskSet, topo Topology, maxRounds int, onDone chan struct{}, now func() time.Time) *Coordinator {
 	if now == nil {
 		now = time.Now
 	}
@@ -86,7 +159,7 @@ func NewCoordinator(population string, lock *actor.LockService, store storage.St
 		lock:       lock,
 		store:      store,
 		tasks:      ts,
-		selectors:  selectors,
+		topo:       topo,
 		maxRounds:  maxRounds,
 		now:        now,
 		global:     make(map[string]*checkpoint.Checkpoint),
@@ -97,27 +170,27 @@ func NewCoordinator(population string, lock *actor.LockService, store storage.St
 // Receive implements actor.Behavior.
 func (c *Coordinator) Receive(ctx *actor.Context, msg actor.Message) {
 	switch m := msg.(type) {
-	case msgTick:
-		c.onTick(ctx)
+	case msgSchedule:
+		c.schedule(ctx)
 	case msgRoundComplete:
 		c.onRoundComplete(ctx, m)
 	case msgRoundFailed:
 		c.failed++
 		c.tasks.NoteFailed(m.TaskID)
-		c.currentMA = nil
+		c.current = nil
 		c.currentTask = ""
-		// Restart: the next tick asks the TaskSet again ("the current
+		// Restart: the next pass asks the TaskSet again ("the current
 		// round... will fail, but will then be restarted by the
 		// Coordinator"). A failed eval round re-arms its cadence, so it is
 		// retried rather than waiting out another EvalEvery train rounds.
-		_ = ctx.Self.Send(msgTick{})
+		_ = ctx.Self.Send(msgSchedule{})
 	case actor.Terminated:
-		if m.Ref == c.currentMA && m.Failure {
+		if m.Ref == c.current && m.Failure {
 			c.failed++
 			c.tasks.NoteFailed(c.currentTask)
-			c.currentMA = nil
+			c.current = nil
 			c.currentTask = ""
-			_ = ctx.Self.Send(msgTick{})
+			_ = ctx.Self.Send(msgSchedule{})
 		}
 	case msgCheckinRate:
 		c.onCheckinRate(m)
@@ -130,9 +203,9 @@ func (c *Coordinator) Receive(ctx *actor.Context, msg actor.Message) {
 		// round, hand the population lock back so a future registration can
 		// acquire it immediately, and stop without a failure so watchers do
 		// not respawn us.
-		if c.currentMA != nil {
-			_ = c.currentMA.Send(msgAbandonRound{Reason: "population deregistered"})
-			c.currentMA = nil
+		if c.current != nil {
+			_ = c.current.Send(msgAbandonRound{Reason: "population deregistered"})
+			c.current = nil
 			c.currentTask = ""
 		}
 		if c.acquired {
@@ -152,12 +225,16 @@ func (c *Coordinator) Receive(ctx *actor.Context, msg actor.Message) {
 		m.Reply <- CoordinatorStats{RoundsCompleted: c.completed, RoundsFailed: c.failed, CurrentRound: round}
 	case msgCrash:
 		panic("coordinator crash injected")
+	default:
+		if c.topo.Receive(ctx, msg) {
+			c.schedule(ctx)
+		}
 	}
 }
 
 // onTaskOp applies one lifecycle mutation. Running on the actor goroutine
-// means the mutation can never interleave with a scheduling tick; a
-// successful mutation is followed by a tick so a task submitted or resumed
+// means the mutation can never interleave with a scheduling pass; a
+// successful mutation is followed by a pass so a task submitted or resumed
 // on an idle population schedules immediately instead of waiting for the
 // next round to complete.
 func (c *Coordinator) onTaskOp(ctx *actor.Context, m msgTaskOp) {
@@ -176,11 +253,11 @@ func (c *Coordinator) onTaskOp(ctx *actor.Context, m msgTaskOp) {
 	}
 	m.Reply <- err
 	if err == nil {
-		_ = ctx.Self.Send(msgTick{})
+		_ = ctx.Self.Send(msgSchedule{})
 	}
 }
 
-func (c *Coordinator) onTick(ctx *actor.Context) {
+func (c *Coordinator) schedule(ctx *actor.Context) {
 	// Registration in the shared locking service: only the single owner of
 	// the population proceeds.
 	if !c.acquired {
@@ -190,22 +267,17 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 		}
 		c.acquired = true
 	}
-	// Any tick satisfies a pending gate-retry; a new one is armed below if
+	// Any pass satisfies a pending gate-retry; a new one is armed below if
 	// the gate still holds.
 	c.gateRetry = false
-	c.probeRates(ctx)
-	if c.currentMA != nil {
+	ready := c.topo.Ready(ctx)
+	if c.current != nil {
 		return // round in flight
 	}
 	if c.maxRounds > 0 && c.completed >= c.maxRounds {
 		if !c.drained {
-			// No further round will start: release the parked devices (and
-			// their half-open connections) the Selectors are holding for
-			// us, instead of stranding them until process teardown.
 			c.drained = true
-			for _, sel := range c.selectors {
-				_ = sel.Send(msgReleaseParked{Population: c.population})
-			}
+			c.topo.Drain(ctx)
 		}
 		if c.onDone != nil {
 			select {
@@ -216,54 +288,44 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 		}
 		return
 	}
+	if !ready {
+		return
+	}
 
 	t, ok := c.tasks.Next()
 	if !ok {
 		// Nothing schedulable: all tasks paused/retired/gated, or none yet.
 		// A task gated only by MinDevices may become schedulable as fresh
 		// check-in rate samples move the live estimate, and an idle
-		// Coordinator has no other tick source — re-check on a backoff.
+		// Coordinator may have nothing else to wake it — re-check on a backoff.
 		if c.steering != nil && !c.gateRetry && c.tasks.GatedByEstimate() {
 			c.gateRetry = true
 			self := ctx.Self
-			time.AfterFunc(loadRetryDelay, func() { _ = self.Send(msgTick{}) })
+			time.AfterFunc(loadRetryDelay, func() { _ = self.Send(msgSchedule{}) })
 		}
 		return
 	}
 	p := t.Plan
 
 	global, err := c.loadGlobal(t)
+	var round actor.Ref
+	if err == nil {
+		round, err = c.topo.StartRound(ctx, t, RoundSettler{Plan: p, Global: global, Store: c.store, Coord: ctx.Self, Now: c.now})
+	}
 	if err != nil {
 		c.failed++
 		c.tasks.NoteFailed(p.ID)
-		// A failed load must not stall the population: nothing else is
-		// guaranteed to tick an idle Coordinator (ticks come only from
-		// round outcomes and task ops), so retry after a short backoff.
-		// The TaskSet rotates its weighted round-robin on every pick, so a
-		// permanently broken task costs one failed pick per rotation — it
-		// cannot starve the healthy tasks.
+		// A task that cannot start must not stall the population: nothing
+		// else is guaranteed to wake an idle Coordinator, so retry after a
+		// short backoff. The TaskSet rotates its weighted round-robin on
+		// every pick, so a permanently broken task costs one failed pick
+		// per rotation — it cannot starve the healthy tasks.
 		self := ctx.Self
-		time.AfterFunc(loadRetryDelay, func() { _ = self.Send(msgTick{}) })
+		time.AfterFunc(loadRetryDelay, func() { _ = self.Send(msgSchedule{}) })
 		return
 	}
-
-	// Tell selectors how many devices to admit for this round.
-	target := p.Server.SelectTarget()
-	per := target / len(c.selectors)
-	extra := target % len(c.selectors)
-	for i, sel := range c.selectors {
-		n := per
-		if i < extra {
-			n++
-		}
-		_ = sel.Send(msgSetQuota{Population: c.population, Accept: n})
-	}
-
-	ma := ctx.Spawn(fmt.Sprintf("ma/%s/r%d", p.ID, global.Round), NewMasterAggregator(p, global, c.store, ctx.Self, c.selectors, t.Policy.MinRuntimeVersion, c.now))
-	ctx.Watch(ma)
-	c.currentMA = ma
+	c.current = round
 	c.currentTask = p.ID
-	_ = ma.Send(msgStartRound{})
 }
 
 // loadGlobal fetches the checkpoint the task's next round serves. Train
@@ -304,21 +366,9 @@ func (c *Coordinator) loadGlobal(t tasks.Task) (*checkpoint.Checkpoint, error) {
 	return g, nil
 }
 
-// probeRates asks every Selector for its check-in arrivals since the last
-// sample. Fire-and-forget: the samples return as msgCheckinRate messages,
-// so the actor never blocks on a Selector.
-func (c *Coordinator) probeRates(ctx *actor.Context) {
-	if c.steering == nil {
-		return
-	}
-	for _, sel := range c.selectors {
-		_ = sel.Send(msgRateProbe{Population: c.population, To: ctx.Self})
-	}
-}
-
-// onCheckinRate folds one Selector's arrival sample into the live
-// population estimate (pacing.RateTracker: population ≈ λ × MeanWait,
-// EWMA-smoothed, latest sample per selector). The result feeds
+// onCheckinRate folds one arrival sample into the live population
+// estimate (pacing.RateTracker: population ≈ λ × MeanWait, EWMA-smoothed,
+// latest sample per source). The result feeds
 // TaskSet.SetPopulationEstimate, which the MinDevices deployment gates
 // check.
 func (c *Coordinator) onCheckinRate(m msgCheckinRate) {
@@ -326,7 +376,7 @@ func (c *Coordinator) onCheckinRate(m msgCheckinRate) {
 		return
 	}
 	c.tasks.SetPopulationEstimate(c.rates.Fold(pacing.RateSample{
-		Source:  m.From.Name(),
+		Source:  m.Source,
 		Count:   int64(m.Count),
 		Elapsed: m.Elapsed,
 		Demand:  m.Demand,
@@ -343,7 +393,7 @@ func (c *Coordinator) onRoundComplete(ctx *actor.Context, m msgRoundComplete) {
 	}
 	c.tasks.NoteCommitted(m.TaskID, m.Round, m.Completed, c.now())
 	c.completed++
-	c.currentMA = nil
+	c.current = nil
 	c.currentTask = ""
-	_ = ctx.Self.Send(msgTick{})
+	_ = ctx.Self.Send(msgSchedule{})
 }

@@ -373,6 +373,7 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 	for _, sel := range er.selectors {
 		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Accept: 0})
 	}
+	er.release()
 	if er.ship != nil {
 		phases := map[string]int64{
 			obs.PhaseReportWindow:   windowNanos,
@@ -398,6 +399,17 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 	er.lingerThenStop(ctx)
 }
 
+// release drops the round's O(dim) buffers — the stripes, the pre-framed
+// configuration and the plan and checkpoint bytes it was built from — once
+// the round is sealed or abandoned. Devices arriving during the linger are
+// answered with an abort that needs only the task ID and round.
+func (er *EdgeRound) release() {
+	er.ingest = nil
+	er.resp = nil
+	er.cfg.PlanBytes = nil
+	er.cfg.Checkpoint = nil
+}
+
 // abandon fails the round without shipping: close every held connection
 // with an abort, then linger (like seal) so concurrently streamed devices
 // are answered rather than dropped with the mailbox.
@@ -420,6 +432,7 @@ func (er *EdgeRound) abandon(ctx *actor.Context, reason string) {
 	for _, sel := range er.selectors {
 		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Accept: 0})
 	}
+	er.release()
 	er.lingerThenStop(ctx)
 }
 

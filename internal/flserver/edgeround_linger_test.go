@@ -1,6 +1,8 @@
 package flserver
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,5 +121,95 @@ func TestEdgeRoundLingerDefault(t *testing.T) {
 	er = NewEdgeRound(EdgeRoundConfig{Population: "p", TaskID: "t", Dim: 1, Linger: time.Second}, nil, func(EdgeSeal) {})
 	if er.cfg.Linger != time.Second {
 		t.Fatalf("explicit linger = %v, want 1s", er.cfg.Linger)
+	}
+}
+
+// trackedBytes allocates n bytes whose collection flips the returned flag,
+// so a test can tell whether anything still references them.
+func trackedBytes(n int) ([]byte, *atomic.Bool) {
+	b := make([]byte, n)
+	freed := new(atomic.Bool)
+	runtime.SetFinalizer(&b[0], func(*byte) { freed.Store(true) })
+	return b, freed
+}
+
+// startTrackedEdgeRound spawns a long-lingering edge round served from
+// tracked plan and checkpoint bytes. It returns the behavior (for the
+// white-box checks) and the two collection flags; the caller keeps no
+// reference to the bytes themselves.
+func startTrackedEdgeRound(sys *actor.System, name string, ship func(EdgeSeal)) (*EdgeRound, actor.Ref, *atomic.Bool, *atomic.Bool) {
+	planBytes, planFreed := trackedBytes(1 << 20)
+	ckpt, ckptFreed := trackedBytes(1 << 20)
+	er := NewEdgeRound(EdgeRoundConfig{
+		Population:    "pop",
+		TaskID:        "task",
+		Round:         3,
+		PlanBytes:     planBytes,
+		Checkpoint:    ckpt,
+		Dim:           1 << 16,
+		Target:        1,
+		ReportTimeout: 20 * time.Millisecond,
+		Linger:        time.Minute,
+	}, nil, ship)
+	ref := sys.Spawn(name, er)
+	_ = ref.Send(msgEdgeStart{})
+	return er, ref, planFreed, ckptFreed
+}
+
+// waitCollected runs the collector until every flag is set or the deadline
+// passes.
+func waitCollected(flags ...*atomic.Bool) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		runtime.GC()
+		done := true
+		for _, f := range flags {
+			done = done && f.Load()
+		}
+		if done {
+			return true
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return false
+}
+
+// TestEdgeRoundReleasesBuffersWhenSealed pins the linger's memory: a sealed
+// or abandoned edge round lingers only to abort late devices, which needs
+// the task ID and round, so it must stop pinning its stripes, its
+// pre-framed configuration and the plan and checkpoint bytes. At the
+// 1M-parameter shard-tree shape those were about 24 MB per lingering round.
+func TestEdgeRoundReleasesBuffersWhenSealed(t *testing.T) {
+	sys := actor.NewSystem()
+	defer sys.Shutdown()
+
+	seals := make(chan EdgeSeal, 1)
+	er, ref, planFreed, ckptFreed := startTrackedEdgeRound(sys, "edge-release-seal", func(s EdgeSeal) { seals <- s })
+	select {
+	case <-seals:
+	case <-time.After(5 * time.Second):
+		t.Fatal("round never sealed")
+	}
+	// ship runs after the release on the actor goroutine; the channel
+	// receive orders these reads after it.
+	if er.ingest != nil || er.resp != nil {
+		t.Fatal("sealed edge round still holds its stripes or its pre-framed configuration")
+	}
+	if !waitCollected(planFreed, ckptFreed) {
+		t.Fatalf("sealed edge round still pins its plan (freed=%v) or checkpoint (freed=%v) bytes",
+			planFreed.Load(), ckptFreed.Load())
+	}
+	if ref.Stopped() {
+		t.Fatal("round stopped before its linger ended; the check above proved nothing")
+	}
+
+	_, ref, planFreed, ckptFreed = startTrackedEdgeRound(sys, "edge-release-abandon", nil)
+	AbandonEdgeRound(ref, "test abandon")
+	if !waitCollected(planFreed, ckptFreed) {
+		t.Fatalf("abandoned edge round still pins its plan (freed=%v) or checkpoint (freed=%v) bytes",
+			planFreed.Load(), ckptFreed.Load())
+	}
+	if ref.Stopped() {
+		t.Fatal("abandoned round stopped before its linger ended")
 	}
 }

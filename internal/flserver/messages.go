@@ -92,19 +92,21 @@ type msgReleaseParked struct {
 
 // msgRateProbe asks a Selector for one population's check-in arrivals since
 // the last probe; the sample returns to To as msgCheckinRate. The
-// Coordinator probes every scheduling tick and feeds the observed rates
-// into the TaskSet's live population estimate (DESIGN.md §2a).
+// single-process Coordinator probes on every scheduling pass and feeds the
+// observed rates into the TaskSet's live population estimate (DESIGN.md
+// §2a).
 type msgRateProbe struct {
 	Population string
 	To         actor.Ref
 }
 
-// msgCheckinRate is one Selector's arrival sample for a population: Count
-// check-ins observed over Elapsed, while steering hints were computed for
-// per-selector demand Demand. A Selector only emits a sample once its
-// window is long enough to carry signal.
+// msgCheckinRate is one arrival sample for a population: Count check-ins
+// observed over Elapsed by Source (a Selector, or a shard's Selector),
+// while steering hints were computed for per-selector demand Demand. A
+// Selector only emits a sample once its window is long enough to carry
+// signal.
 type msgCheckinRate struct {
-	From       actor.Ref
+	Source     string
 	Population string
 	Count      int64
 	Elapsed    time.Duration
@@ -269,8 +271,8 @@ type msgRoundFailed struct {
 	Reason string
 }
 
-// msgTick drives the Coordinator's periodic scheduling.
-type msgTick struct{}
+// msgSchedule asks the Coordinator for a scheduling pass.
+type msgSchedule struct{}
 
 // msgStopCoordinator tells a Coordinator to shut down cleanly: abandon any
 // in-flight round, release the population lock, and stop without a failure

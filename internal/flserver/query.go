@@ -26,7 +26,7 @@ import (
 const statsTimeout = 5 * time.Second
 
 // StartCoordinator kicks a freshly spawned Coordinator's scheduling loop.
-func StartCoordinator(coord actor.Ref) error { return coord.Send(msgTick{}) }
+func StartCoordinator(coord actor.Ref) error { return coord.Send(msgSchedule{}) }
 
 // StopCoordinator cleanly shuts a Coordinator down: the in-flight round is
 // abandoned, the population lock released, and watchers see a non-failure
@@ -70,6 +70,13 @@ func ProbeCheckinRate(sel actor.Ref, population string, to actor.Ref) error {
 	return sel.Send(msgRateProbe{Population: population, To: to})
 }
 
+// NoteCheckinRate feeds one check-in arrival sample, observed by source,
+// into a Coordinator's live population estimate. The sharded coordinator
+// relays its shards' samples through it.
+func NoteCheckinRate(coord actor.Ref, source string, count int64, elapsed time.Duration, demand int) error {
+	return coord.Send(msgCheckinRate{Source: source, Count: count, Elapsed: elapsed, Demand: demand})
+}
+
 // rateForwarder converts Selector rate samples into a callback, so code
 // outside this package (the sharded selector process, which relays samples
 // to its coordinator over the wire) can consume them without seeing the
@@ -88,7 +95,7 @@ func NewRateForwarder(fn func(source, population string, count int64, elapsed ti
 // Receive implements actor.Behavior.
 func (rf *rateForwarder) Receive(ctx *actor.Context, msg actor.Message) {
 	if m, ok := msg.(msgCheckinRate); ok {
-		rf.fn(m.From.Name(), m.Population, m.Count, m.Elapsed, m.Demand)
+		rf.fn(m.Source, m.Population, m.Count, m.Elapsed, m.Demand)
 	}
 }
 

@@ -213,7 +213,7 @@ func (s *Selector) onRateProbe(ctx *actor.Context, m msgRateProbe) {
 		return
 	}
 	_ = m.To.Send(msgCheckinRate{
-		From:       ctx.Self,
+		Source:     ctx.Self.Name(),
 		Population: p.name,
 		Count:      p.arrivals,
 		Elapsed:    elapsed,

@@ -127,7 +127,7 @@ func (s *Server) spawnCoordinator() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	coord := s.sys.Spawn("coordinator/"+s.cfg.Population,
-		NewCoordinator(s.cfg.Population, s.lock, s.cfg.Store, s.tasks, s.selectors, s.cfg.MaxRounds, s.done, s.cfg.Now).
+		NewCoordinator(s.cfg.Population, s.lock, s.cfg.Store, s.tasks, SelectorLayer(s.cfg.Population, s.selectors), s.cfg.MaxRounds, s.done, s.cfg.Now).
 			WithPacing(s.cfg.Steering, s.cfg.PopulationEstimate))
 	s.coord = coord
 

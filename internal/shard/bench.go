@@ -256,8 +256,10 @@ func RunBenchSharded(cfg BenchShardedConfig) (BenchShardedStats, error) {
 		}
 		stats.Accepted += ss.Selector.Accepted
 	}
-	if _, err := store.LatestCheckpoint(p.ID); err != nil {
-		return stats, fmt.Errorf("shard bench: no committed checkpoint: %w", err)
+	// Every committed round materializes its metrics next to its
+	// checkpoint in the same settle step.
+	if ms, err := store.Metrics(p.ID); err != nil || len(ms) < cfg.Rounds {
+		return stats, fmt.Errorf("shard bench: %d of %d committed rounds in the store (%v)", len(ms), cfg.Rounds, err)
 	}
 	return stats, nil
 }

@@ -5,23 +5,74 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/actor"
-	"repro/internal/checkpoint"
 	"repro/internal/nn"
-	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
-	"repro/internal/remote"
+	"repro/internal/storage"
 	"repro/internal/tasks"
+	"repro/internal/transport"
 )
+
+// coordinatorWithShard runs a CoordinatorProc for p with one connected
+// shard link (a bare connection that announces itself and never answers),
+// so the Coordinator is ready to start rounds.
+func coordinatorWithShard(t *testing.T, p *plan.Plan) *CoordinatorProc {
+	t.Helper()
+	cp, err := NewCoordinatorProc(CoordinatorConfig{
+		Population: p.Population,
+		Plans:      []*plan.Plan{p},
+		Store:      storage.NewMem(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cp.Close)
+	mem := transport.NewMemNetwork()
+	l, err := mem.Listen("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go cp.Serve(l)
+	conn, err := mem.Dial("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.Send(protocol.ShardHello{Shard: 0, Name: "shard-0"}); err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// waitAutoPaused polls the Coordinator's task stats until task id is
+// paused with wantFailed failed rounds.
+func waitAutoPaused(t *testing.T, cp *CoordinatorProc, id string, wantFailed int) tasks.Stats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	var last tasks.Stats
+	for time.Now().Before(deadline) {
+		for _, st := range cp.TaskStats() {
+			if st.ID == id {
+				last = st
+			}
+		}
+		if last.State == tasks.Paused && last.RoundsFailed == wantFailed {
+			return last
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("task %s not auto-paused with %d failed rounds: %+v", id, wantFailed, last)
+	return tasks.Stats{}
+}
 
 // TestSecureTaskAutoPausedInShardedMode pins the scheduler's handling of a
 // task the sharded deployment cannot run: secure aggregation needs the
 // per-device vectors inside one process, so instead of burning a failed
-// round every tick with no explanation (the old behaviour), the
-// coordinator pauses the task once and records an operator-visible reason
-// in its stats. Resuming without removing the requirement re-pauses on the
-// next tick, again with the note.
+// round on every scheduling pass with no explanation, the coordinator
+// pauses the task once and records an operator-visible reason in its
+// stats. Resuming without removing the requirement re-pauses on the next
+// pass, again with the note.
 func TestSecureTaskAutoPausedInShardedMode(t *testing.T) {
 	p, err := plan.Generate(plan.Config{
 		TaskID: "pop/secure", Population: "pop",
@@ -32,63 +83,27 @@ func TestSecureTaskAutoPausedInShardedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := tasks.New("pop", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.Seed([]*plan.Plan{p}); err != nil {
-		t.Fatal(err)
-	}
+	cp := coordinatorWithShard(t, p)
 
-	sc := &shardCoordinator{
-		cfg:     CoordinatorConfig{Population: "pop"},
-		locks:   actor.NewLockService(),
-		tasks:   ts,
-		now:     time.Now,
-		shards:  make(map[*remote.Session]protocol.ShardHello),
-		contrib: make(map[uint32]*ShardContribution),
-		global:  make(map[string]*checkpoint.Checkpoint),
-		rates:   pacing.NewRateTracker(pacing.New(time.Minute), 100),
-	}
-	sys := actor.NewSystem()
-	coord := sys.Spawn("coordinator/pop", sc)
-
-	tick := func() tasks.Stats {
-		t.Helper()
-		if err := coord.Send(msgCoordTick{}); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			st, ok := ts.StatsFor("pop/secure")
-			if !ok {
-				t.Fatal("task vanished")
-			}
-			if st.State == tasks.Paused {
-				return st
-			}
-			time.Sleep(time.Millisecond)
-		}
-		st, _ := ts.StatsFor("pop/secure")
-		t.Fatalf("secure task not auto-paused after tick: %+v", st)
-		return tasks.Stats{}
-	}
-
-	st := tick()
+	st := waitAutoPaused(t, cp, "pop/secure", 1)
 	if !strings.Contains(st.Note, "secure aggregation") || !strings.Contains(st.Note, "sharded") {
 		t.Fatalf("auto-pause note not operator-readable: %q", st.Note)
 	}
-	if st.RoundsFailed != 1 {
-		t.Fatalf("one failed round recorded, got %d", st.RoundsFailed)
+	cs, err := cp.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.RoundsFailed != 1 || cs.RoundsCompleted != 0 {
+		t.Fatalf("coordinator stats after one auto-pause: %+v", cs)
 	}
 
 	// An operator resume without removing the requirement re-pauses with
-	// the same note — one failed round per resume, not one per tick.
-	if err := ts.Resume("pop/secure"); err != nil {
+	// the same note — one failed round per resume, not one per pass.
+	if err := cp.ResumeTask("pop/secure"); err != nil {
 		t.Fatal(err)
 	}
-	st = tick()
-	if st.Note == "" || st.RoundsFailed != 2 {
-		t.Fatalf("re-pause after resume: %+v", st)
+	st = waitAutoPaused(t, cp, "pop/secure", 2)
+	if !strings.Contains(st.Note, "secure aggregation") {
+		t.Fatalf("re-pause after resume lost its note: %+v", st)
 	}
 }

@@ -105,7 +105,6 @@ func (h *failoverHarness) startCoordinator(maxRounds int) {
 		MaxRounds:  maxRounds,
 		MinShards:  1,
 		SealGrace:  500 * time.Millisecond,
-		TickEvery:  50 * time.Millisecond,
 	})
 	if err != nil {
 		h.t.Fatal(err)

@@ -104,7 +104,6 @@ func TestReconnectStormResumesExactlyOnce(t *testing.T) {
 			MaxRounds:  maxRounds,
 			MinShards:  numShards,
 			SealGrace:  500 * time.Millisecond,
-			TickEvery:  50 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

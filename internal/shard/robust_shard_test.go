@@ -5,21 +5,16 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/actor"
-	"repro/internal/checkpoint"
 	"repro/internal/nn"
-	"repro/internal/pacing"
 	"repro/internal/plan"
-	"repro/internal/protocol"
-	"repro/internal/remote"
-	"repro/internal/tasks"
 )
 
 // TestRetentionPolicyAutoPausedInShardedMode: per-update robust policies
 // (trimmed mean, median, cosine) need every individual update in one
 // process, but shards ship merged sums. Like secure aggregation, such a
 // task must be paused once with an operator-readable note instead of
-// burning a failed round every tick.
+// burning a failed round on every scheduling pass, and re-paused after an
+// operator resume.
 func TestRetentionPolicyAutoPausedInShardedMode(t *testing.T) {
 	p, err := plan.Generate(plan.Config{
 		TaskID: "pop/trimmed", Population: "pop",
@@ -31,47 +26,18 @@ func TestRetentionPolicyAutoPausedInShardedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := tasks.New("pop", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.Seed([]*plan.Plan{p}); err != nil {
-		t.Fatal(err)
-	}
+	cp := coordinatorWithShard(t, p)
 
-	sc := &shardCoordinator{
-		cfg:     CoordinatorConfig{Population: "pop"},
-		locks:   actor.NewLockService(),
-		tasks:   ts,
-		now:     time.Now,
-		shards:  make(map[*remote.Session]protocol.ShardHello),
-		contrib: make(map[uint32]*ShardContribution),
-		global:  make(map[string]*checkpoint.Checkpoint),
-		rates:   pacing.NewRateTracker(pacing.New(time.Minute), 100),
+	st := waitAutoPaused(t, cp, "pop/trimmed", 1)
+	if !strings.Contains(st.Note, "robust") || !strings.Contains(st.Note, "norm_bound") {
+		t.Fatalf("auto-pause note not operator-readable: %q", st.Note)
 	}
-	sys := actor.NewSystem()
-	defer sys.Shutdown()
-	coord := sys.Spawn("coordinator/pop", sc)
-
-	if err := coord.Send(msgCoordTick{}); err != nil {
+	if err := cp.ResumeTask("pop/trimmed"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, ok := ts.StatsFor("pop/trimmed")
-		if !ok {
-			t.Fatal("task vanished")
-		}
-		if st.State == tasks.Paused {
-			if !strings.Contains(st.Note, "robust") || !strings.Contains(st.Note, "norm_bound") {
-				t.Fatalf("auto-pause note not operator-readable: %q", st.Note)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retention-policy task not auto-paused: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
+	st = waitAutoPaused(t, cp, "pop/trimmed", 2)
+	if !strings.Contains(st.Note, "robust") {
+		t.Fatalf("re-pause after resume lost its note: %+v", st)
 	}
 }
 

@@ -344,7 +344,10 @@ func (t *tcpConn) Recv() (interface{}, error) {
 // allocated in one piece; beyond that it grows geometrically as bytes
 // actually arrive, so a hostile length prefix can only commit memory by
 // sending that much data — an 8-byte header promising a gigabyte costs the
-// receiver 4 MiB, not 1 GiB.
+// receiver 4 MiB, not 1 GiB. The commitment never exceeds exactAlloc plus
+// twice the bytes received, so a payload within that reach is allocated at
+// its exact size in one step: an 8 MiB model frame costs 4 + 8 MiB, not
+// 4 + 8 + 8 MiB.
 func readPayload(r io.Reader, n int) ([]byte, error) {
 	const exactAlloc = 4 << 20
 	if n <= exactAlloc {
@@ -358,7 +361,7 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 	}
 	for len(buf) < n {
 		next := 2 * len(buf)
-		if next > n {
+		if next+exactAlloc >= n {
 			next = n
 		}
 		grown := make([]byte, next)

@@ -36,10 +36,10 @@ fail() {
 }
 trap cleanup EXIT
 
-# Short seal grace + fast ticks keep partial rounds settling while a shard
-# is partitioned away, instead of stalling the fleet on its missing seal.
+# A short seal grace keeps partial rounds settling while a shard is
+# partitioned away, instead of stalling the fleet on its missing seal.
 "$BIN/flserver" -shard-listen "$COORD" -population gboard -rounds "$ROUNDS" \
-	-target 16 -min-shards 3 -seal-grace 1s -tick-every 100ms \
+	-target 16 -min-shards 3 -seal-grace 1s \
 	-report-timeout 5s >"$LOGS/coord.log" 2>&1 &
 COORD_PID=$!
 sleep 1
