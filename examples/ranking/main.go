@@ -4,8 +4,8 @@
 // labeled data point."
 //
 // This example runs the *full protocol*, not just the algorithm: an
-// actor-based FL server (Coordinator, Selectors, Master Aggregator,
-// Aggregators) over an in-memory transport, with a fleet of device runtimes
+// actor-based FL server (Coordinator, Selectors, Master Aggregator) over an
+// in-memory transport, with a fleet of device runtimes
 // holding click data in their example stores.
 //
 //	go run ./examples/ranking

@@ -177,8 +177,8 @@ func (s *System) Spawn(name string, b Behavior) Ref {
 		return r
 	}
 	s.actors = append(s.actors, r)
-	// Ephemeral actors (one Master Aggregator and a handful of Aggregators
-	// per round) would grow the registry forever on a long-running server;
+	// Ephemeral actors (one Master Aggregator or edge round per round)
+	// would grow the registry forever on a long-running server;
 	// compact stopped refs periodically.
 	if len(s.actors)%256 == 0 {
 		live := s.actors[:0]

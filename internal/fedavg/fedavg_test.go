@@ -107,7 +107,8 @@ func TestAccumulatorErrors(t *testing.T) {
 }
 
 func TestMergeEqualsFlatAccumulation(t *testing.T) {
-	// Two-level aggregation (Aggregators → Master Aggregator) must produce
+	// Two-level aggregation (partial sums folded in with AddRaw, as a
+	// window close merges stripes or secure group sums) must produce
 	// exactly the same result as flat accumulation.
 	updates := []*Update{
 		{Delta: tensor.Vector{1, 2}, Weight: 1},
@@ -125,11 +126,10 @@ func TestMergeEqualsFlatAccumulation(t *testing.T) {
 	_ = g2.Add(updates[2])
 	_ = g2.Add(updates[3])
 	master := NewAccumulator(2)
-	if err := master.Merge(g1); err != nil {
-		t.Fatal(err)
-	}
-	if err := master.Merge(g2); err != nil {
-		t.Fatal(err)
+	for _, g := range []*Accumulator{g1, g2} {
+		if err := master.AddRaw(g.sum, g.weight, g.count); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fa, _ := flat.Average()
 	ma, _ := master.Average()

@@ -8,22 +8,11 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/checkpoint"
+	"repro/internal/robust"
 	"repro/internal/secagg"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 )
-
-// feedSecureGroup sends count updates with distinct device names prefixed
-// by prefix, each Params {1,2} Weight 1.
-func feedSecureGroup(t *testing.T, agg actor.Ref, sig chan struct{}, prefix string, count int) {
-	t.Helper()
-	for i := 0; i < count; i++ {
-		_ = agg.Send(msgAddUpdate{DeviceID: fmt.Sprintf("%s%d", prefix, i),
-			Update: &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 1}})
-	}
-	waitSignals(t, sig, count)
-}
 
 // assignedNames builds an Assigned list: the prefix-numbered devices that
 // delivered plus extra lost-device names.
@@ -35,77 +24,82 @@ func assignedNames(prefix string, delivered int, lost ...string) []string {
 	return append(out, lost...)
 }
 
-func lastGroupResults(t *testing.T, got func() []actor.Message, want int) []msgGroupResult {
+// feedSecureGroup retains count updates of devices prefix0.. — each Params
+// {1,2} Weight 1 — through a secure round's reader into buf.
+func feedSecureGroup(t *testing.T, self actor.Ref, buf *robust.Buffer, prefix string, count int, metrics map[string]float64) {
 	t.Helper()
-	var out []msgGroupResult
-	for _, m := range got() {
-		if res, ok := m.(msgGroupResult); ok {
-			out = append(out, res)
+	rr := reportReader{self: self, dim: 2, buf: buf, withWeight: true}
+	for _, id := range assignedNames(prefix, count) {
+		if resp := report(t, rr, id, update(1, 1, 2), metrics); !resp.Accepted {
+			t.Fatalf("%s rejected: %s", id, resp.Reason)
 		}
 	}
-	if len(out) != want {
-		t.Fatalf("got %d group results, want %d", len(out), want)
+}
+
+// average applies o's merged update to a zero model of dim 2.
+func average(t *testing.T, o RoundOutcome) tensor.Vector {
+	t.Helper()
+	next := tensor.Vector{0, 0}
+	if err := o.Acc.ApplyAverage(next); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return next
+}
+
+// churnedGroups closes a round of two secure groups under live churn: both
+// groups carry a configured-but-lost device, group 0's dealer a1 poisons
+// its shares, group 1's responder b0 forges its unmask reveal — all while
+// the two secagg runs execute concurrently.
+func churnedGroups(t *testing.T, self actor.Ref) RoundOutcome {
+	t.Helper()
+	buf := robust.NewBuffer(3)
+	feedSecureGroup(t, self, buf, "a", 5, nil)
+	feedSecureGroup(t, self, buf, "b", 5, nil)
+	p := secureParams{dim: 2, churn: func(g, n, tt int) secagg.Schedule {
+		if g == 0 {
+			// Participant 2 (device a1) deals poisoned shares: excluded
+			// before masking, blamed via holder complaints.
+			return secagg.Schedule{PoisonShare: []int{2}}
+		}
+		// Participant 1 (device b0) forges its unmask response: rejected
+		// at the commitment check, blamed, sum reconstructed from the rest.
+		return secagg.Schedule{ForgeUnmask: []int{1}}
+	}}
+	// Each group was configured with 6 devices; the 6th never delivered
+	// and enters the protocol as a real share-keys dropout.
+	return closeSecure(p, buf, [][]string{assignedNames("a", 5, "a-lost"), assignedNames("b", 5, "b-lost")})
 }
 
 // TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn extends the plain
-// concurrent-finalization test with live churn: both groups carry a
-// configured-but-lost device, one group's dealer poisons its shares, the
-// other's responder forges its unmask reveal — all while the two secagg
-// runs execute concurrently off the actor goroutines. Run under -race (CI
-// does). Both groups must still commit, with the misbehaving devices
-// blamed by name.
+// concurrent-finalization test with live churn. Run under -race (CI does).
+// Both groups must still commit, with the misbehaving devices blamed by
+// name.
 func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
 
-	aggA := NewAggregator(2, true, master)
-	// Participant 2 (device a1) deals poisoned shares: excluded before
-	// masking, blamed via holder complaints.
-	aggA.churn = func(n, tt int) secagg.Schedule { return secagg.Schedule{PoisonShare: []int{2}} }
-	aggB := NewAggregator(2, true, master)
-	// Participant 1 (device b0) forges its unmask response: rejected at
-	// the commitment check, blamed, sum reconstructed from the rest.
-	aggB.churn = func(n, tt int) secagg.Schedule { return secagg.Schedule{ForgeUnmask: []int{1}} }
-	refA := sys.Spawn("agg-a", aggA)
-	refB := sys.Spawn("agg-b", aggB)
-	defer sys.Shutdown(master, refA, refB)
-
-	feedSecureGroup(t, refA, sig, "a", 5)
-	feedSecureGroup(t, refB, sig, "b", 5)
-	// Each group was configured with 6 devices; the 6th never delivered
-	// and enters the protocol as a real share-keys dropout.
-	_ = refA.Send(msgFinalizeGroup{Assigned: assignedNames("a", 5, "a-lost")})
-	_ = refB.Send(msgFinalizeGroup{Assigned: assignedNames("b", 5, "b-lost")})
-	waitSignals(t, sig, 2)
-
-	byBlame := map[string]msgGroupResult{}
-	for _, res := range lastGroupResults(t, got, 2) {
-		if res.Err != "" {
-			t.Fatalf("group must commit under churn: %+v", res)
-		}
-		if len(res.Blamed) != 1 {
-			t.Fatalf("want exactly one blamed device: %+v", res)
-		}
-		byBlame[res.Blamed[0][:2]] = res
+	o := churnedGroups(t, self)
+	if len(o.GroupErrors) != 0 {
+		t.Fatalf("groups must commit under churn: %v", o.GroupErrors)
 	}
-	resA, ok := byBlame["a1"]
-	if !ok || !strings.Contains(resA.Blamed[0], "complaint") {
-		t.Fatalf("poisoned dealer a1 not blamed via complaint: %+v", byBlame)
+	if len(o.Blamed) != 2 {
+		t.Fatalf("want exactly one blamed device per group: %v", o.Blamed)
+	}
+	if !strings.HasPrefix(o.Blamed[0], "a1: ") || !strings.Contains(o.Blamed[0], "complaint") {
+		t.Fatalf("poisoned dealer a1 not blamed via complaint: %v", o.Blamed)
+	}
+	if !strings.HasPrefix(o.Blamed[1], "b0: ") || !strings.Contains(o.Blamed[1], "forged") {
+		t.Fatalf("forging responder b0 not blamed: %v", o.Blamed)
 	}
 	// Group A: 6 assigned, 1 lost, 1 poisoned-and-excluded → 4 survivors.
-	if resA.Count != 4 || resA.Sum[0] != 4 || resA.Sum[1] != 8 {
-		t.Fatalf("group A result: %+v", resA)
+	// Group B: the forger's masked input was already in the online sum — it
+	// survives as data even though its response was rejected → 5.
+	if o.Reports != 9 || o.Acc.Weight() != 9 {
+		t.Fatalf("reports %d, weight %v; want 4 + 5 survivors", o.Reports, o.Acc.Weight())
 	}
-	resB, ok := byBlame["b0"]
-	if !ok || !strings.Contains(resB.Blamed[0], "forged") {
-		t.Fatalf("forging responder b0 not blamed: %+v", byBlame)
-	}
-	// Group B: the forger's masked input was already in the online sum —
-	// it survives as data even though its response was rejected.
-	if resB.Count != 5 || resB.Sum[0] != 5 || resB.Sum[1] != 10 {
-		t.Fatalf("group B result: %+v", resB)
+	if avg := average(t, o); avg[0] != 1 || avg[1] != 2 {
+		t.Fatalf("average %v, want (9, 18) / 9", avg)
 	}
 }
 
@@ -114,23 +108,23 @@ func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 // reconstruction), not by silently resizing the instance.
 func TestSecureGroupLostDevicesBecomeDropouts(t *testing.T) {
 	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, true, master))
-	defer sys.Shutdown(master, agg)
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	buf := robust.NewBuffer(3)
+	feedSecureGroup(t, self, buf, "d", 4, nil)
 
-	feedSecureGroup(t, agg, sig, "d", 4)
-	_ = agg.Send(msgFinalizeGroup{Assigned: assignedNames("d", 4, "d-lost")})
-	waitSignals(t, sig, 1)
-
-	res := lastGroupResults(t, got, 1)[0]
-	if res.Err != "" {
-		t.Fatalf("group must commit: %+v", res)
+	o := closeSecure(secureParams{dim: 2}, buf, [][]string{assignedNames("d", 4, "d-lost")})
+	if len(o.GroupErrors) != 0 {
+		t.Fatalf("group must commit: %v", o.GroupErrors)
 	}
-	if res.Count != 4 || res.Weight != 4 || res.Sum[0] != 4 || res.Sum[1] != 8 {
-		t.Fatalf("result: %+v", res)
+	if o.Reports != 4 || o.Acc.Weight() != 4 {
+		t.Fatalf("reports %d, weight %v", o.Reports, o.Acc.Weight())
 	}
-	if len(res.Blamed) != 0 {
-		t.Fatalf("an honest dropout is lost, not blamed: %+v", res.Blamed)
+	if avg := average(t, o); avg[0] != 1 || avg[1] != 2 {
+		t.Fatalf("average %v, want (4, 8) / 4", avg)
+	}
+	if len(o.Blamed) != 0 {
+		t.Fatalf("an honest dropout is lost, not blamed: %v", o.Blamed)
 	}
 }
 
@@ -139,62 +133,52 @@ func TestSecureGroupLostDevicesBecomeDropouts(t *testing.T) {
 // devices and still carries the delivered reports' metrics.
 func TestSecureGroupBelowThresholdAbortsWithMetrics(t *testing.T) {
 	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, true, master))
-	defer sys.Shutdown(master, agg)
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	buf := robust.NewBuffer(3)
+	feedSecureGroup(t, self, buf, "d", 3, map[string]float64{"train_loss": 0.5})
 
-	for i := 0; i < 3; i++ {
-		_ = agg.Send(msgAddUpdate{DeviceID: fmt.Sprintf("d%d", i),
-			Update:  &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 1},
-			Metrics: map[string]float64{"train_loss": 0.5}})
-	}
-	waitSignals(t, sig, 3)
 	// 8 assigned, 3 delivered: below the majority threshold 5.
-	_ = agg.Send(msgFinalizeGroup{Assigned: assignedNames("d", 3, "l1", "l2", "l3", "l4", "l5")})
-	waitSignals(t, sig, 1)
-
-	res := lastGroupResults(t, got, 1)[0]
-	if res.Err == "" || !strings.Contains(res.Err, "3 of 8") || !strings.Contains(res.Err, "l5") {
-		t.Fatalf("abort must attribute the lost devices: %+v", res)
+	o := closeSecure(secureParams{dim: 2}, buf, [][]string{assignedNames("d", 3, "l1", "l2", "l3", "l4", "l5")})
+	if len(o.GroupErrors) != 1 || !strings.Contains(o.GroupErrors[0], "3 of 8") || !strings.Contains(o.GroupErrors[0], "l5") {
+		t.Fatalf("abort must attribute the lost devices: %v", o.GroupErrors)
 	}
-	if res.Sum != nil || res.Count != 0 {
-		t.Fatalf("aborted group must not report a sum: %+v", res)
+	if o.Reports != 0 || o.Acc.Count() != 0 {
+		t.Fatalf("aborted group must not report a sum: reports %d", o.Reports)
 	}
-	if len(res.Metrics["train_loss"]) != 3 {
-		t.Fatalf("metrics swallowed on abort: %+v", res.Metrics)
+	if len(o.Metrics["train_loss"]) != 3 {
+		t.Fatalf("metrics swallowed on abort: %+v", o.Metrics)
 	}
 }
 
 // TestSecureThresholdFractionOverride: the plan's SecAggThresholdFraction
-// reaches the group through the injected threshold hook.
+// reaches the groups through the Master Aggregator's threshold hook.
 func TestSecureThresholdFractionOverride(t *testing.T) {
 	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := NewAggregator(2, true, master)
-	// Tolerate up to half the group: t = ⌈0.5 n⌉.
-	agg.threshold = func(n int) int { return (n + 1) / 2 }
-	ref := sys.Spawn("agg", agg)
-	defer sys.Shutdown(master, ref)
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	buf := robust.NewBuffer(3)
+	feedSecureGroup(t, self, buf, "d", 4, nil)
 
-	feedSecureGroup(t, ref, sig, "d", 4)
-	// 8 assigned, 4 delivered: the majority default (5) would abort, the
-	// relaxed threshold (4) commits through 4-of-8 reconstruction.
-	_ = ref.Send(msgFinalizeGroup{Assigned: assignedNames("d", 4, "l1", "l2", "l3", "l4")})
-	waitSignals(t, sig, 1)
-
-	res := lastGroupResults(t, got, 1)[0]
-	if res.Err != "" {
-		t.Fatalf("relaxed threshold must commit: %+v", res)
+	// Tolerate up to half the group: t = ⌈0.5 n⌉. 8 assigned, 4 delivered:
+	// the majority default (5) would abort, the relaxed threshold (4)
+	// commits through 4-of-8 reconstruction.
+	pl := testPlan(t, 8, true)
+	pl.Server.SecAggThresholdFraction = 0.5
+	p := groupParams(pl.Server, 2)
+	o := closeSecure(p, buf, [][]string{assignedNames("d", 4, "l1", "l2", "l3", "l4")})
+	if len(o.GroupErrors) != 0 {
+		t.Fatalf("relaxed threshold must commit: %v", o.GroupErrors)
 	}
-	if res.Count != 4 || res.Sum[0] != 4 {
-		t.Fatalf("result: %+v", res)
+	if o.Reports != 4 || average(t, o)[0] != 1 {
+		t.Fatalf("reports %d, average %v", o.Reports, average(t, o))
 	}
 }
 
 // TestSecureFinalizeWatchdogUnstallsGroup: a secagg run that cannot make
 // progress (here: wedged behind a saturated finalization gate) is
-// abandoned by the per-group watchdog with an attributed error — the
-// round gets its group result instead of hanging forever.
+// abandoned by the group's watchdog with an attributed error — the round
+// gets its outcome instead of hanging forever.
 func TestSecureFinalizeWatchdogUnstallsGroup(t *testing.T) {
 	slots := cap(secaggGate)
 	for i := 0; i < slots; i++ {
@@ -212,61 +196,41 @@ func TestSecureFinalizeWatchdogUnstallsGroup(t *testing.T) {
 	defer release()
 
 	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := NewAggregator(2, true, master)
-	agg.finalizeTimeout = 100 * time.Millisecond
-	ref := sys.Spawn("agg", agg)
-	defer sys.Shutdown(master, ref)
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	buf := robust.NewBuffer(3)
+	feedSecureGroup(t, self, buf, "d", 3, nil)
 
-	feedSecureGroup(t, ref, sig, "d", 3)
-	_ = ref.Send(msgFinalizeGroup{Assigned: assignedNames("d", 3)})
-	waitSignals(t, sig, 1)
-
-	res := lastGroupResults(t, got, 1)[0]
-	if res.Err == "" || !strings.Contains(res.Err, "exceeded") {
-		t.Fatalf("stalled finalization must time out with attribution: %+v", res)
+	o := closeSecure(secureParams{dim: 2, timeout: 100 * time.Millisecond}, buf, [][]string{assignedNames("d", 3)})
+	if len(o.GroupErrors) != 1 || !strings.Contains(o.GroupErrors[0], "exceeded") {
+		t.Fatalf("stalled finalization must time out with attribution: %v", o.GroupErrors)
 	}
-	if res.Sum != nil {
-		t.Fatalf("timed-out group must not report a sum: %+v", res)
+	if o.Acc.Count() != 0 {
+		t.Fatalf("timed-out group must not report a sum: %d", o.Acc.Count())
 	}
-	// Unblock the wedged run; its late result lands on a stopped actor and
-	// is dropped — the double-report guard is exercised every run under
-	// -race via the done flag.
+	// Unblock the wedged run; its late result lands in a channel nobody
+	// reads any more.
 	release()
 	runtime.Gosched()
 }
 
 // TestRoundCompleteCarriesBlamedDevices: per-group blame survives the
-// master merge into the round completion record.
+// Master Aggregator's settle into the round completion record.
 func TestRoundCompleteCarriesBlamedDevices(t *testing.T) {
 	sys := actor.NewSystem()
-	coord, got, sig := collectMaster(sys)
-	store := storage.NewMem()
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	o := churnedGroups(t, self)
+
 	p := testPlan(t, 4, true)
-	m, err := p.Device.Model.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dim := m.NumParams()
-	global := &checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, dim)}
-	ma := NewMasterAggregator(p, global, store, coord, nil, 0, nil)
-	ma.state = "collecting"
-	ma.aggs = make([]actor.Ref, 2)
-	ref := sys.Spawn("ma", ma)
-	defer sys.Shutdown(coord, ref)
-
-	_ = ref.Send(msgGroupResult{Sum: make(tensor.Vector, dim), Weight: 4, Count: 4,
-		Blamed: []string{"dev-7: forged share"}})
-	_ = ref.Send(msgGroupResult{Sum: make(tensor.Vector, dim), Weight: 4, Count: 4,
-		Blamed: []string{"dev-9: complaint from holder"}})
-	waitSignals(t, sig, 1)
-
-	msgs := got()
-	done, ok := msgs[len(msgs)-1].(msgRoundComplete)
+	done, ok := settleThroughMaster(t, p, 2, storage.NewMem(), o).(msgRoundComplete)
 	if !ok {
-		t.Fatalf("coordinator got %T", msgs[len(msgs)-1])
+		t.Fatal("round did not complete")
 	}
-	if len(done.BlamedDevices) != 2 {
-		t.Fatalf("blamed devices not merged: %+v", done.BlamedDevices)
+	if len(done.BlamedDevices) != 2 || !strings.HasPrefix(done.BlamedDevices[0], "a1: ") || !strings.HasPrefix(done.BlamedDevices[1], "b0: ") {
+		t.Fatalf("blamed devices not carried: %+v", done.BlamedDevices)
+	}
+	if done.Completed != 9 || done.Committed == nil || done.Committed.Weight != 9 {
+		t.Fatalf("completion record: %+v", done)
 	}
 }

@@ -1,10 +1,10 @@
 package flserver
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,16 +13,25 @@ import (
 	"repro/internal/data"
 	"repro/internal/pacing"
 	"repro/internal/plan"
+	"repro/internal/protocol"
+	"repro/internal/robust"
+	"repro/internal/secagg"
 	"repro/internal/storage"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
-// collectMaster spawns an actor standing in for the Master Aggregator,
-// recording everything the Aggregator sends.
+// The tests in this file and aggregator_churn_test.go drive the round's
+// window-close paths at function level: report readers consume real
+// ReportRequests over in-memory connections, then the plaintext seal
+// (roundIngest.seal) or the secure groups (closeSecure) merge them.
+
+// collectMaster spawns an actor standing in for a round actor or
+// Coordinator, recording everything it is sent.
 func collectMaster(s *actor.System) (actor.Ref, func() []actor.Message, chan struct{}) {
 	var mu sync.Mutex
 	var got []actor.Message
-	sig := make(chan struct{}, 256)
+	sig := make(chan struct{}, 4096)
 	ref := s.Spawn("fake-master", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
 		mu.Lock()
 		got = append(got, msg)
@@ -47,81 +56,143 @@ func waitSignals(t *testing.T, sig chan struct{}, n int) {
 	}
 }
 
+// report runs rr's reader for one device over an in-memory connection: the
+// device sends a ReportRequest carrying u (nil for a metrics-only report)
+// and the answer it gets back is returned.
+func report(t *testing.T, rr reportReader, id string, u *checkpoint.Checkpoint, metrics map[string]float64) protocol.ReportResponse {
+	t.Helper()
+	srv, dev := transport.Pipe()
+	var claim atomic.Bool
+	read := make(chan struct{})
+	go func() {
+		rr.read(configJob{deviceID: id, conn: srv, claim: &claim})
+		close(read)
+	}()
+	req := protocol.ReportRequest{DeviceID: id, Metrics: metrics}
+	if u != nil {
+		b, err := u.Marshal(checkpoint.EncodingFloat64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Update = b
+	}
+	if err := dev.Send(req); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := dev.Recv()
+	if err != nil {
+		t.Fatalf("%s: no answer: %v", id, err)
+	}
+	<-read
+	resp, ok := msg.(protocol.ReportResponse)
+	if !ok {
+		t.Fatalf("%s: answered with %T", id, msg)
+	}
+	return resp
+}
+
+// update is a Params/Weight checkpoint for report.
+func update(weight float64, params ...float64) *checkpoint.Checkpoint {
+	return &checkpoint.Checkpoint{Params: tensor.Vector(params), Weight: weight}
+}
+
+// secureBuffer retains each update as delta‖weight through a secure
+// round's reader, in order, and returns the buffer for closeSecure.
+func secureBuffer(t *testing.T, self actor.Ref, dim int, ids []string, updates []*checkpoint.Checkpoint, metrics map[string]float64) *robust.Buffer {
+	t.Helper()
+	buf := robust.NewBuffer(dim + 1)
+	rr := reportReader{self: self, dim: dim, buf: buf, withWeight: true}
+	for i, id := range ids {
+		if resp := report(t, rr, id, updates[i], metrics); !resp.Accepted {
+			t.Fatalf("%s rejected: %s", id, resp.Reason)
+		}
+	}
+	return buf
+}
+
 func TestAggregatorSimpleSum(t *testing.T) {
 	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, false, master))
-	defer sys.Shutdown(master, agg)
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	ri := newRoundIngest(2)
+	rr := reportReader{self: self, dim: 2, ingest: ri}
+	report(t, rr, "a", update(2, 2, 4), map[string]float64{"loss": 1})
+	report(t, rr, "b", update(1, 1, 1), map[string]float64{"loss": 3})
 
-	_ = agg.Send(msgAddUpdate{DeviceID: "a", Update: &checkpoint.Checkpoint{Params: tensor.Vector{2, 4}, Weight: 2}, Metrics: map[string]float64{"loss": 1}})
-	_ = agg.Send(msgAddUpdate{DeviceID: "b", Update: &checkpoint.Checkpoint{Params: tensor.Vector{1, 1}, Weight: 1}, Metrics: map[string]float64{"loss": 3}})
-	waitSignals(t, sig, 2)
-	_ = agg.Send(msgFinalizeGroup{})
-	waitSignals(t, sig, 1)
-
-	msgs := got()
-	res, ok := msgs[len(msgs)-1].(msgGroupResult)
-	if !ok {
-		t.Fatalf("last message %T", msgs[len(msgs)-1])
+	o, err := ri.seal(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Count != 2 || res.Weight != 3 {
-		t.Fatalf("result: %+v", res)
+	if o.Reports != 2 || o.Acc.Count() != 2 || o.Acc.Weight() != 3 {
+		t.Fatalf("outcome: reports %d, count %d, weight %v", o.Reports, o.Acc.Count(), o.Acc.Weight())
 	}
-	if res.Sum[0] != 3 || res.Sum[1] != 5 {
-		t.Fatalf("sum = %v", res.Sum)
+	next := tensor.Vector{0, 0}
+	if err := o.Acc.ApplyAverage(next); err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Metrics["loss"]) != 2 {
-		t.Fatalf("metrics: %+v", res.Metrics)
+	if math.Abs(next[0]-1) > 1e-12 || math.Abs(next[1]-5.0/3) > 1e-12 {
+		t.Fatalf("average = %v, want sum (3, 5) / 3", next)
+	}
+	if len(o.Metrics["loss"]) != 2 {
+		t.Fatalf("metrics: %+v", o.Metrics)
 	}
 }
 
 func TestAggregatorRejectsBadUpdates(t *testing.T) {
 	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, false, master))
-	defer sys.Shutdown(master, agg)
+	self, got, sig := collectMaster(sys)
+	defer sys.Shutdown(self)
+	ri := newRoundIngest(2)
+	rr := reportReader{self: self, dim: 2, ingest: ri}
 
-	_ = agg.Send(msgAddUpdate{DeviceID: "a", Update: &checkpoint.Checkpoint{Params: tensor.Vector{1}, Weight: 1}})
-	_ = agg.Send(msgAddUpdate{DeviceID: "b", Update: &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 0}})
+	if resp := report(t, rr, "a", update(1, 1), nil); resp.Accepted || !strings.Contains(resp.Reason, "dim") {
+		t.Fatalf("wrong-dimension update answered %+v", resp)
+	}
+	if resp := report(t, rr, "b", update(0, 1, 2), nil); resp.Accepted {
+		t.Fatalf("zero-weight update accepted: %+v", resp)
+	}
 	waitSignals(t, sig, 2)
 	for _, m := range got() {
-		if r, ok := m.(msgAddResult); ok && r.OK {
-			t.Fatalf("bad update accepted: %+v", r)
+		if r, ok := m.(msgReportDone); !ok || r.OK {
+			t.Fatalf("bad update accounted as %+v", m)
 		}
+	}
+	if o, _ := ri.seal(2); o.Reports != 0 {
+		t.Fatalf("bad updates folded: %d reports", o.Reports)
 	}
 }
 
 func TestAggregatorSecureMatchesSimple(t *testing.T) {
 	sys := actor.NewSystem()
-	updates := []*checkpoint.Checkpoint{
-		{Params: tensor.Vector{1, -2, 0.5}, Weight: 3},
-		{Params: tensor.Vector{0.25, 1, 1}, Weight: 1},
-		{Params: tensor.Vector{-1, -1, -1}, Weight: 2},
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	ids := []string{"a", "b", "c"}
+	updates := []*checkpoint.Checkpoint{update(3, 1, -2, 0.5), update(1, 0.25, 1, 1), update(2, -1, -1, -1)}
+
+	ri := newRoundIngest(3)
+	rr := reportReader{self: self, dim: 3, ingest: ri}
+	for i, id := range ids {
+		report(t, rr, id, updates[i], nil)
 	}
-	run := func(secure bool) msgGroupResult {
-		master, got, sig := collectMaster(sys)
-		agg := sys.Spawn("agg", NewAggregator(3, secure, master))
-		defer func() { master.Stop(); agg.Stop() }()
-		for i, u := range updates {
-			_ = agg.Send(msgAddUpdate{DeviceID: string(rune('a' + i)), Update: u})
-		}
-		waitSignals(t, sig, len(updates))
-		_ = agg.Send(msgFinalizeGroup{})
-		waitSignals(t, sig, 1)
-		msgs := got()
-		return msgs[len(msgs)-1].(msgGroupResult)
+	plain, err := ri.seal(3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plainRes := run(false)
-	secureRes := run(true)
-	if plainRes.Count != secureRes.Count {
-		t.Fatalf("counts differ: %d vs %d", plainRes.Count, secureRes.Count)
+	secure := closeSecure(secureParams{dim: 3}, secureBuffer(t, self, 3, ids, updates, nil), [][]string{ids})
+	if len(secure.GroupErrors) != 0 {
+		t.Fatalf("secure group failed: %v", secure.GroupErrors)
 	}
-	if math.Abs(plainRes.Weight-secureRes.Weight) > 1e-3 {
-		t.Fatalf("weights differ: %v vs %v", plainRes.Weight, secureRes.Weight)
+	if plain.Reports != secure.Reports || plain.Acc.Count() != secure.Acc.Count() {
+		t.Fatalf("counts differ: %d vs %d", plain.Reports, secure.Reports)
 	}
-	for i := range plainRes.Sum {
-		if math.Abs(plainRes.Sum[i]-secureRes.Sum[i]) > 1e-3 {
-			t.Fatalf("secure sum %v != plain %v", secureRes.Sum, plainRes.Sum)
+	if math.Abs(plain.Acc.Weight()-secure.Acc.Weight()) > 1e-3 {
+		t.Fatalf("weights differ: %v vs %v", plain.Acc.Weight(), secure.Acc.Weight())
+	}
+	pa, _ := plain.Acc.Average()
+	sa, _ := secure.Acc.Average()
+	for i := range pa {
+		if math.Abs(pa[i]-sa[i]) > 1e-3 {
+			t.Fatalf("secure average %v != plain %v", sa, pa)
 		}
 	}
 }
@@ -132,99 +203,119 @@ func TestSecureSingletonRefusesDirectSum(t *testing.T) {
 	// while still reporting the metrics that never went through the secure
 	// path.
 	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, true, master))
-	defer sys.Shutdown(master, agg)
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	buf := secureBuffer(t, self, 2, []string{"solo"}, []*checkpoint.Checkpoint{update(1, 1, 2)},
+		map[string]float64{"train_loss": 0.5})
 
-	_ = agg.Send(msgAddUpdate{DeviceID: "solo",
-		Update:  &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 1},
-		Metrics: map[string]float64{"train_loss": 0.5}})
-	waitSignals(t, sig, 1)
-	_ = agg.Send(msgFinalizeGroup{})
-	waitSignals(t, sig, 1)
-
-	msgs := got()
-	res, ok := msgs[len(msgs)-1].(msgGroupResult)
-	if !ok {
-		t.Fatalf("last message %T", msgs[len(msgs)-1])
+	o := closeSecure(secureParams{dim: 2}, buf, [][]string{{"solo"}})
+	if len(o.GroupErrors) != 1 || !strings.Contains(o.GroupErrors[0], "below minimum 2") {
+		t.Fatalf("singleton secure group must refuse to aggregate: %v", o.GroupErrors)
 	}
-	if res.Err == "" {
-		t.Fatal("singleton secure group must refuse to aggregate")
+	if o.Reports != 0 || o.Acc.Count() != 0 || o.Acc.Weight() != 0 {
+		t.Fatalf("raw update leaked into the round: reports %d, weight %v", o.Reports, o.Acc.Weight())
 	}
-	if res.Sum != nil || res.Count != 0 || res.Weight != 0 {
-		t.Fatalf("raw update leaked into group result: %+v", res)
-	}
-	if len(res.Metrics["train_loss"]) != 1 {
-		t.Fatalf("metrics must still propagate: %+v", res.Metrics)
+	if len(o.Metrics["train_loss"]) != 1 {
+		t.Fatalf("metrics must still propagate: %+v", o.Metrics)
 	}
 }
 
 func TestSecAggFailureStillReportsMetrics(t *testing.T) {
-	// Regression: a secagg failure used to produce an empty msgGroupResult,
+	// Regression: a secagg failure used to produce an empty group result,
 	// silently dropping the group's metrics and hiding the error.
 	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, true, master))
-	defer sys.Shutdown(master, agg)
-
-	for i, loss := range []float64{0.5, 0.7} {
-		_ = agg.Send(msgAddUpdate{DeviceID: string(rune('a' + i)),
-			Update:  &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 1},
-			Metrics: map[string]float64{"train_loss": loss}})
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	ids := []string{"a", "b"}
+	buf := secureBuffer(t, self, 2, ids, []*checkpoint.Checkpoint{update(1, 1, 2), update(1, 1, 2)},
+		map[string]float64{"train_loss": 0.5})
+	// A metrics-only report rides along outside the secure path.
+	if err := buf.AddEval(map[string]float64{"train_loss": 0.7}); err != nil {
+		t.Fatal(err)
 	}
-	waitSignals(t, sig, 2)
-	// Inject the protocol outcome directly: the async finalization path
-	// delivers failures as msgSecAggDone.
-	_ = agg.Send(msgSecAggDone{Err: errors.New("secagg: injected failure")})
-	waitSignals(t, sig, 1)
-
-	msgs := got()
-	res, ok := msgs[len(msgs)-1].(msgGroupResult)
-	if !ok {
-		t.Fatalf("last message %T", msgs[len(msgs)-1])
+	// Participant 2 vanishes after sharing keys: 1 of 2 masked inputs is
+	// below the threshold 2, so the protocol aborts.
+	p := secureParams{dim: 2, churn: func(g, n, tt int) secagg.Schedule { return secagg.Schedule{DropAfterShare: []int{2}} }}
+	o := closeSecure(p, buf, [][]string{ids})
+	if len(o.GroupErrors) != 1 || !strings.Contains(o.GroupErrors[0], "secagg") {
+		t.Fatalf("error not surfaced: %v", o.GroupErrors)
 	}
-	if !strings.Contains(res.Err, "injected failure") {
-		t.Fatalf("error not surfaced: %+v", res)
+	if o.Acc.Count() != 0 || o.Reports != 1 {
+		t.Fatalf("failed group must not report a sum: count %d, reports %d", o.Acc.Count(), o.Reports)
 	}
-	if res.Sum != nil || res.Count != 0 {
-		t.Fatalf("failed group must not report a sum: %+v", res)
+	if len(o.Metrics["train_loss"]) != 3 {
+		t.Fatalf("metrics swallowed on secagg failure: %+v", o.Metrics)
 	}
-	if len(res.Metrics["train_loss"]) != 2 {
-		t.Fatalf("metrics swallowed on secagg failure: %+v", res.Metrics)
+	if len(o.Phases) == 0 {
+		t.Fatal("a failed run must still carry its phase times")
 	}
 }
 
-func TestMasterAggregatorSurfacesGroupErrors(t *testing.T) {
-	// A failed group's metrics still reach storage, its error reaches the
-	// Coordinator, and the round completes on the healthy groups.
+// settleThroughMaster hands o to a Master Aggregator whose window just
+// closed and returns what its Coordinator receives.
+func settleThroughMaster(t *testing.T, p *plan.Plan, dim int, store storage.Store, o RoundOutcome) actor.Message {
+	t.Helper()
 	sys := actor.NewSystem()
 	coord, got, sig := collectMaster(sys)
-	store := storage.NewMem()
-	p := testPlan(t, 4, true)
+	global := &checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, dim)}
+	ma := NewMasterAggregator(p, global, store, coord, nil, 0, nil)
+	ma.state = "collecting"
+	ref := sys.Spawn("ma", ma)
+	defer sys.Shutdown(coord, ref)
+	_ = ref.Send(msgWindowClosed{Outcome: o})
+	waitSignals(t, sig, 1)
+	msgs := got()
+	return msgs[len(msgs)-1]
+}
+
+// modelDim is the parameter count of p's model.
+func modelDim(t *testing.T, p *plan.Plan) int {
+	t.Helper()
 	m, err := p.Device.Model.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dim := m.NumParams()
-	global := &checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, dim)}
-	ma := NewMasterAggregator(p, global, store, coord, nil, 0, nil)
-	ma.state = "collecting"
-	ma.aggs = make([]actor.Ref, 2)
-	ref := sys.Spawn("ma", ma)
-	defer sys.Shutdown(coord, ref)
+	return m.NumParams()
+}
 
-	_ = ref.Send(msgGroupResult{Sum: make(tensor.Vector, dim), Weight: 4, Count: 4,
-		Metrics: map[string][]float64{"train_loss": {1, 2, 3, 4}}})
-	_ = ref.Send(msgGroupResult{Err: "secagg: injected failure",
-		Metrics: map[string][]float64{"train_loss": {9, 9}}})
-	waitSignals(t, sig, 1)
-
-	msgs := got()
-	done, ok := msgs[len(msgs)-1].(msgRoundComplete)
-	if !ok {
-		t.Fatalf("coordinator got %T: %+v", msgs[len(msgs)-1], msgs[len(msgs)-1])
+// namedUpdates returns count device ids prefix0.. and zero updates of dim.
+func namedUpdates(prefix string, count, dim int) ([]string, []*checkpoint.Checkpoint) {
+	ids := assignedNames(prefix, count)
+	updates := make([]*checkpoint.Checkpoint, count)
+	for i := range updates {
+		updates[i] = &checkpoint.Checkpoint{Params: make(tensor.Vector, dim), Weight: 1}
 	}
-	if len(done.GroupErrors) != 1 || !strings.Contains(done.GroupErrors[0], "injected failure") {
+	return ids, updates
+}
+
+func TestMasterAggregatorSurfacesGroupErrors(t *testing.T) {
+	// A failed group's metrics still reach storage, its error reaches the
+	// Coordinator, and the round completes on the healthy group.
+	sys := actor.NewSystem()
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	p := testPlan(t, 4, true)
+	dim := modelDim(t, p)
+	buf := robust.NewBuffer(dim + 1)
+	rr := reportReader{self: self, dim: dim, buf: buf, withWeight: true}
+	healthy, hu := namedUpdates("h", 4, dim)
+	failing, fu := namedUpdates("f", 2, dim)
+	for i, id := range healthy {
+		report(t, rr, id, hu[i], map[string]float64{"train_loss": float64(i)})
+	}
+	for i, id := range failing {
+		report(t, rr, id, fu[i], map[string]float64{"train_loss": 9})
+	}
+	// The failing group had 5 devices configured; 2 delivered is below its
+	// threshold 3.
+	o := closeSecure(secureParams{dim: dim}, buf, [][]string{healthy, append(failing, "l1", "l2", "l3")})
+
+	store := storage.NewMem()
+	done, ok := settleThroughMaster(t, p, dim, store, o).(msgRoundComplete)
+	if !ok {
+		t.Fatal("round did not complete on the healthy group")
+	}
+	if len(done.GroupErrors) != 1 || !strings.Contains(done.GroupErrors[0], "threshold") {
 		t.Fatalf("group errors not surfaced: %+v", done.GroupErrors)
 	}
 	if done.Completed != 4 {
@@ -240,39 +331,39 @@ func TestMasterAggregatorSurfacesGroupErrors(t *testing.T) {
 }
 
 func TestTwoSecureGroupsFinalizeConcurrently(t *testing.T) {
-	// Two group Aggregators receive msgFinalizeGroup back to back; the
-	// secagg runs execute off the actor goroutines, concurrently. Run under
-	// -race (CI does) to check the parallel finalization pipeline.
+	// Two groups close in one closeSecure call; their secagg runs execute
+	// on their own goroutines, concurrently. Run under -race (CI does) to
+	// check the parallel finalization pipeline.
 	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	aggA := sys.Spawn("agg-a", NewAggregator(2, true, master))
-	aggB := sys.Spawn("agg-b", NewAggregator(2, true, master))
-	defer sys.Shutdown(master, aggA, aggB)
-
-	for i := 0; i < 3; i++ {
-		_ = aggA.Send(msgAddUpdate{DeviceID: string(rune('a' + i)),
-			Update: &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 1}})
-		_ = aggB.Send(msgAddUpdate{DeviceID: string(rune('x' + i)),
-			Update: &checkpoint.Checkpoint{Params: tensor.Vector{3, 4}, Weight: 2}})
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	a := assignedNames("a", 3)
+	b := assignedNames("x", 3)
+	var updates []*checkpoint.Checkpoint
+	for range a {
+		updates = append(updates, update(1, 1, 2))
 	}
-	waitSignals(t, sig, 6)
-	_ = aggA.Send(msgFinalizeGroup{})
-	_ = aggB.Send(msgFinalizeGroup{})
-	waitSignals(t, sig, 2)
-
-	results := 0
-	for _, m := range got() {
-		res, ok := m.(msgGroupResult)
-		if !ok {
-			continue
-		}
-		results++
-		if res.Err != "" || res.Count != 3 || len(res.Sum) != 2 {
-			t.Fatalf("group result: %+v", res)
-		}
+	for range b {
+		updates = append(updates, update(2, 3, 4))
 	}
-	if results != 2 {
-		t.Fatalf("got %d group results, want 2", results)
+	// Interleave the groups' arrivals, as concurrent readers would.
+	ids := []string{a[0], b[0], a[1], b[1], a[2], b[2]}
+	ordered := []*checkpoint.Checkpoint{updates[0], updates[3], updates[1], updates[4], updates[2], updates[5]}
+	buf := secureBuffer(t, self, 2, ids, ordered, nil)
+
+	o := closeSecure(secureParams{dim: 2}, buf, [][]string{a, b})
+	if len(o.GroupErrors) != 0 || o.Reports != 6 || o.Acc.Count() != 6 || o.Acc.Weight() != 9 {
+		t.Fatalf("outcome: errors %v, reports %d, weight %v", o.GroupErrors, o.Reports, o.Acc.Weight())
+	}
+	next := tensor.Vector{0, 0}
+	_ = o.Acc.ApplyAverage(next)
+	if math.Abs(next[0]-12.0/9) > 1e-5 || math.Abs(next[1]-18.0/9) > 1e-5 {
+		t.Fatalf("average %v, want sum (12, 18) / 9", next)
+	}
+	for _, phase := range []string{"secagg_advertise", "secagg_share", "secagg_commit", "secagg_unmask"} {
+		if _, ok := o.Phases[phase]; !ok {
+			t.Fatalf("phase %s missing from %v", phase, o.Phases)
+		}
 	}
 }
 
@@ -314,22 +405,27 @@ func TestSecureRemainderFoldedIntoLastGroup(t *testing.T) {
 
 func TestAggregatorEvalMetricsOnly(t *testing.T) {
 	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, false, master))
-	defer sys.Shutdown(master, agg)
+	self, _, _ := collectMaster(sys)
+	defer sys.Shutdown(self)
+	ri := newRoundIngest(2)
+	rr := reportReader{self: self, dim: 2, evalOnly: true, ingest: ri}
+	report(t, rr, "a", nil, map[string]float64{"eval_accuracy": 0.8})
+	report(t, rr, "b", nil, map[string]float64{"eval_accuracy": 0.9})
 
-	_ = agg.Send(msgAddUpdate{DeviceID: "a", Metrics: map[string]float64{"eval_accuracy": 0.8}})
-	_ = agg.Send(msgAddUpdate{DeviceID: "b", Metrics: map[string]float64{"eval_accuracy": 0.9}})
-	waitSignals(t, sig, 2)
-	_ = agg.Send(msgFinalizeGroup{})
-	waitSignals(t, sig, 1)
-	msgs := got()
-	res := msgs[len(msgs)-1].(msgGroupResult)
-	if res.Count != 2 || res.Weight != 0 {
-		t.Fatalf("eval result: %+v", res)
+	o, err := ri.seal(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Metrics["eval_accuracy"]) != 2 {
-		t.Fatalf("metrics: %+v", res.Metrics)
+	if o.Reports != 2 || o.Acc.Count() != 0 || o.Acc.Weight() != 0 {
+		t.Fatalf("eval outcome: reports %d, weight %v", o.Reports, o.Acc.Weight())
+	}
+	if len(o.Metrics["eval_accuracy"]) != 2 {
+		t.Fatalf("metrics: %+v", o.Metrics)
+	}
+	// A training task's reader refuses a report without an update.
+	rr.evalOnly = false
+	if resp := report(t, rr, "c", nil, nil); resp.Accepted {
+		t.Fatal("training report without an update accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package flserver
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/fedavg"
 	"repro/internal/pacing"
+	"repro/internal/robust"
 	"repro/internal/storage"
 	"repro/internal/tasks"
 	"repro/internal/tensor"
@@ -89,7 +91,8 @@ func TestEdgeAccumulationMatchesSerial(t *testing.T) {
 }
 
 // TestSecureRoundsReusePooledInputsWithoutAliasing: two sequential Secure
-// Aggregation rounds share the update-buffer pool; the second round's
+// Aggregation rounds share the retention buffers' vector pool (robust.Buffer
+// keeps each delta‖weight input until its group's run); the second round's
 // reuse of the first round's released buffers must neither corrupt the
 // first round's committed checkpoint (which would betray an alias from the
 // secagg path into a pooled buffer) nor perturb the second's sum. The
@@ -140,9 +143,10 @@ func TestSecureRoundsReusePooledInputsWithoutAliasing(t *testing.T) {
 	}
 }
 
-// TestParamBufPoolConcurrentReuse: concurrent get/fill/verify/put cycles on
-// the shared pool — under -race this proves a released buffer is never
-// still referenced by its previous holder.
+// TestParamBufPoolConcurrentReuse: concurrent retain/fill/verify/release
+// cycles on the retention buffers' shared vector pool — under -race this
+// proves a released vector is never still referenced by its previous
+// holder.
 func TestParamBufPoolConcurrentReuse(t *testing.T) {
 	const workers, rounds, size = 8, 200, 513
 	var wg sync.WaitGroup
@@ -151,21 +155,28 @@ func TestParamBufPoolConcurrentReuse(t *testing.T) {
 		go func(tag float64) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				buf := getParamBuf(size)
-				if len(buf) != size {
-					t.Errorf("got len %d, want %d", len(buf), size)
+				buf := robust.NewBuffer(size)
+				err := buf.Add("d", 1, nil, func(dst tensor.Vector) error {
+					if len(dst) != size {
+						return fmt.Errorf("got len %d, want %d", len(dst), size)
+					}
+					for i := range dst {
+						dst[i] = tag
+					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
 					return
 				}
-				for i := range buf {
-					buf[i] = tag
-				}
-				for i := range buf {
-					if buf[i] != tag {
-						t.Errorf("buffer shared while held: [%d]=%v, want %v", i, buf[i], tag)
+				updates, _, _ := buf.Drain()
+				for i, v := range updates[0].Delta {
+					if v != tag {
+						t.Errorf("vector shared while held: [%d]=%v, want %v", i, v, tag)
 						return
 					}
 				}
-				putParamBuf(buf)
+				robust.Release(updates)
 			}
 		}(float64(w + 1))
 	}

@@ -97,6 +97,9 @@ type edgeDev struct {
 	conn     transport.Conn
 	reported bool
 	lost     bool
+	// claim decides who answers the device: its report reader or the
+	// seal (see reportReader.read).
+	claim atomic.Bool
 }
 
 // EdgeRound runs one round's device-facing half on a selector shard: it
@@ -105,7 +108,7 @@ type edgeDev struct {
 // lets per-connection readers decode-and-accumulate reports into this
 // round's stripes, and — on target, timeout, or coordinator order — merges
 // the stripes into a single fedavg.SealedStripe handed to ship. It reuses
-// the single-process round machinery (reportReader, roundIngest,
+// the single-process round machinery (fanOut, reportReader, roundIngest,
 // sendThenClose) so the edge path is identical in both deployments; only
 // who merges the seal differs.
 type EdgeRound struct {
@@ -121,6 +124,9 @@ type EdgeRound struct {
 	sealed    bool
 	// topUpAt round-robins replacement-quota requests across Selectors.
 	topUpAt int
+	// out carries every message to the Selectors (quota, forward, top-up,
+	// revocation) in order without blocking the actor.
+	out outbox
 
 	// startAt anchors the report-window span; checkinNanos is the wait for
 	// the first device batch (round start → the Selectors delivering);
@@ -137,9 +143,10 @@ type EdgeRound struct {
 	obsClipped *obs.Counter
 }
 
-// NewEdgeRound returns the behavior for one shard-local round. ship runs on
-// the actor goroutine and must not block (hand the seal to a peer link or a
-// channel).
+// NewEdgeRound returns the behavior for one shard-local round. ship runs
+// once the round's last message to its Selectors (the quota revocation) has
+// been delivered, off the actor goroutine, and must not block (hand the
+// seal to a peer link or a channel).
 func NewEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal)) *EdgeRound {
 	if cfg.Target < 1 {
 		cfg.Target = 1
@@ -171,7 +178,7 @@ func (er *EdgeRound) Receive(ctx *actor.Context, msg actor.Message) {
 	case msgReportDone:
 		er.noteOutcome(ctx, m.DeviceID, m.OK)
 	case msgDeviceLost:
-		er.onLost(ctx, m.DeviceID)
+		er.noteOutcome(ctx, m.DeviceID, false)
 	case msgReportTimeout:
 		er.seal(ctx)
 	case msgEdgeFinalize:
@@ -199,35 +206,17 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 		ReportDeadline: er.cfg.ReportDeadline,
 	})
 
-	// Split the admit count across local Selectors, remainder to the
-	// first. Quota and forward go out together so devices stream to this
-	// round as they check in.
-	n := len(er.selectors)
-	if n == 0 {
-		n = 1
-	}
-	share := er.cfg.Admit / n
-	extra := er.cfg.Admit - share*n
-	for i, sel := range er.selectors {
-		want := share
-		if i == 0 {
-			want += extra
-		}
-		if want <= 0 {
-			continue
-		}
-		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Accept: want})
-		_ = sel.Send(msgForwardDevices{Population: er.cfg.Population, N: want, To: ctx.Self})
-	}
+	requestDevices(er.selectors, er.cfg.Population, er.cfg.Admit, ctx.Self, er.out.send)
 
 	self := ctx.Self
 	time.AfterFunc(er.cfg.ReportTimeout, func() { _ = self.Send(msgReportTimeout{}) })
 }
 
-// onDevices configures a batch of forwarded devices: the shared pre-framed
-// response goes out on a bounded worker pool (a dead socket must never
-// stall the actor), and each successful send hands the connection to a
-// reportReader goroutine that consumes the report at the edge.
+// onDevices configures a batch of forwarded devices through the shared
+// fan-out: the pre-framed response goes out on a bounded worker pool (a
+// dead socket must never stall the actor), and each successful send hands
+// the connection to a reportReader goroutine that consumes the report at
+// the edge.
 func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 	if er.sealed {
 		for _, d := range m.Devices {
@@ -253,17 +242,16 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 			})
 			continue
 		}
-		er.devices[d.ID] = &edgeDev{conn: d.Conn}
-		jobs = append(jobs, configJob{deviceID: d.ID, conn: d.Conn, resp: er.resp})
+		dev := &edgeDev{conn: d.Conn}
+		er.devices[d.ID] = dev
+		jobs = append(jobs, configJob{deviceID: d.ID, conn: d.Conn, resp: er.resp, claim: &dev.claim})
 	}
 	er.topUp(ctx, dups)
 	if len(jobs) == 0 {
 		return
 	}
-
-	self := ctx.Self
 	rr := reportReader{
-		self:     self,
+		self:     ctx.Self,
 		dim:      er.cfg.Dim,
 		evalOnly: er.cfg.EvalOnly,
 		ingest:   er.ingest,
@@ -273,31 +261,7 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 		rr.clipped = &er.clipped
 		rr.obsClipped = er.obsClipped
 	}
-	jobCh := make(chan configJob, len(jobs))
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	var sends sync.WaitGroup
-	sends.Add(len(jobs))
-	for w := fanoutWorkers(len(jobs)); w > 0; w-- {
-		go func() {
-			for j := range jobCh {
-				if err := j.conn.Send(j.resp); err != nil {
-					_ = j.conn.Close()
-					_ = self.Send(msgDeviceLost{DeviceID: j.deviceID})
-				} else {
-					go rr.read(j.deviceID, j.conn, nil)
-				}
-				sends.Done()
-			}
-		}()
-	}
-	batchStart := time.Now()
-	go func() {
-		sends.Wait()
-		er.configNanos.Add(time.Since(batchStart).Nanoseconds())
-	}()
+	fanOut(jobs, rr, er.cfg.ReportTimeout, func(d time.Duration) { er.configNanos.Add(d.Nanoseconds()) })
 }
 
 func (er *EdgeRound) noteOutcome(ctx *actor.Context, deviceID string, ok bool) {
@@ -318,16 +282,6 @@ func (er *EdgeRound) noteOutcome(ctx *actor.Context, deviceID string, ok bool) {
 	}
 }
 
-func (er *EdgeRound) onLost(ctx *actor.Context, deviceID string) {
-	d, ok := er.devices[deviceID]
-	if !ok || d.reported || d.lost {
-		return
-	}
-	d.lost = true
-	er.lost++
-	er.topUp(ctx, 1)
-}
-
 // topUp asks a Selector (round-robin) for n replacement devices after
 // admitted ones dropped out of the round, keeping the number of devices
 // that can still complete at the admit target.
@@ -337,15 +291,97 @@ func (er *EdgeRound) topUp(ctx *actor.Context, n int) {
 	}
 	sel := er.selectors[er.topUpAt%len(er.selectors)]
 	er.topUpAt++
-	_ = sel.Send(msgQuotaTopUp{Population: er.cfg.Population, N: n, To: ctx.Self})
+	er.out.send(sel, msgQuotaTopUp{Population: er.cfg.Population, N: n, To: ctx.Self})
 }
 
-// seal closes the window: stripes are sealed (a reader racing the close
-// gets ErrPartialClosed and answers its device "window closed"), merged
-// into one SealedStripe, unreported devices are aborted, quota is revoked,
-// and the seal ships upstream. The actor lingers briefly to abort devices a
-// Selector streamed concurrently with the seal, then stops — an edge round,
-// like a Master Aggregator, is per-round ephemeral.
+// abortUnreported answers every configured device that has not reported
+// with abort and reports how many it aborted. A device whose reader
+// already claimed its report is left to that reader (acked when it folded
+// before the seal, "window closed" when it did not).
+func (er *EdgeRound) abortUnreported(abort protocol.Abort) int {
+	aborted := 0
+	for _, d := range er.devices {
+		if !d.reported && !d.lost && d.claim.CompareAndSwap(false, true) {
+			aborted++
+			sendThenClose(d.conn, abort)
+		}
+	}
+	return aborted
+}
+
+// revokeQuota zeroes this round's quota at every Selector, queued behind
+// any top-up the round sent before.
+func (er *EdgeRound) revokeQuota() {
+	for _, sel := range er.selectors {
+		er.out.send(sel, msgSetQuota{Population: er.cfg.Population, Accept: 0})
+	}
+}
+
+// outbox delivers a round's messages to its Selectors in order, off the
+// actor goroutine. A Selector streaming devices to the round blocks while
+// the round's mailbox is full; had the round in turn blocked sending a
+// quota top-up into that Selector's full mailbox, neither would ever drain
+// again. Queued sends keep the round's mailbox moving, and keep every
+// top-up ordered before the seal's quota revocation.
+type outbox struct {
+	mu      sync.Mutex
+	queue   []outMsg
+	running bool
+}
+
+// outMsg is one queued send, or (fn set) a call made in its place.
+type outMsg struct {
+	to  actor.Ref
+	msg actor.Message
+	fn  func()
+}
+
+// send queues msg for to.
+func (o *outbox) send(to actor.Ref, msg actor.Message) { o.push(outMsg{to: to, msg: msg}) }
+
+// then queues fn to run once every send queued before it was delivered.
+func (o *outbox) then(fn func()) { o.push(outMsg{fn: fn}) }
+
+// push queues m and starts the drain goroutine if it is idle.
+func (o *outbox) push(m outMsg) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.queue = append(o.queue, m)
+	if !o.running {
+		o.running = true
+		go o.drain()
+	}
+}
+
+func (o *outbox) drain() {
+	for {
+		o.mu.Lock()
+		if len(o.queue) == 0 {
+			o.running = false
+			o.mu.Unlock()
+			return
+		}
+		m := o.queue[0]
+		// Drop the delivered item, or the lingering round would pin what
+		// it references (the shipped seal's O(dim) sum) until it stops.
+		o.queue[0] = outMsg{}
+		o.queue = o.queue[1:]
+		o.mu.Unlock()
+		if m.fn != nil {
+			m.fn()
+		} else {
+			_ = m.to.Send(m.msg)
+		}
+	}
+}
+
+// seal closes the window: unreported devices are aborted, stripes are
+// sealed (a reader racing the close gets ErrPartialClosed and answers its
+// device "window closed") and merged into one SealedStripe, quota is
+// revoked, and the seal ships upstream once the revocation is delivered.
+// The actor lingers briefly to abort devices a Selector streamed
+// concurrently with the seal, then stops — an edge round, like a Master
+// Aggregator, is per-round ephemeral.
 func (er *EdgeRound) seal(ctx *actor.Context) {
 	if er.sealed {
 		return
@@ -353,7 +389,7 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 	er.sealed = true
 	windowNanos := time.Since(er.startAt).Nanoseconds()
 	mergeStart := time.Now()
-	er.ingest.close()
+	aborted := er.abortUnreported(protocol.Abort{TaskID: er.cfg.TaskID, Round: er.cfg.Round, Reason: "enough devices completed"})
 	sealed, err := fedavg.SealStripes(er.ingest.stripes)
 	if err != nil {
 		// Dimension mismatch across stripes cannot happen (one dim per
@@ -361,18 +397,7 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 		// this shard rather than waiting out its straggler timeout.
 		sealed = fedavg.SealedStripe{}
 	}
-
-	abort := protocol.Abort{TaskID: er.cfg.TaskID, Round: er.cfg.Round, Reason: "enough devices completed"}
-	aborted := 0
-	for _, d := range er.devices {
-		if !d.reported && !d.lost {
-			aborted++
-			sendThenClose(d.conn, abort)
-		}
-	}
-	for _, sel := range er.selectors {
-		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Accept: 0})
-	}
+	er.revokeQuota()
 	er.release()
 	if er.ship != nil {
 		phases := map[string]int64{
@@ -385,7 +410,7 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 		if cfgNs := er.configNanos.Load(); cfgNs > 0 {
 			phases[obs.PhaseConfigure] = cfgNs
 		}
-		er.ship(EdgeSeal{
+		seal := EdgeSeal{
 			Population: er.cfg.Population,
 			TaskID:     er.cfg.TaskID,
 			Round:      er.cfg.Round,
@@ -394,7 +419,11 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 			Aborted:    aborted,
 			Clipped:    er.clipped.Load(),
 			Phases:     phases,
-		})
+		}
+		// The seal ships only after the quota revocation above reached the
+		// Selectors: the coordinator starts the next round on this seal, and
+		// that round's quota grant must not be overtaken by this revocation.
+		er.out.then(func() { er.ship(seal) })
 	}
 	er.lingerThenStop(ctx)
 }
@@ -420,18 +449,9 @@ func (er *EdgeRound) abandon(ctx *actor.Context, reason string) {
 		return
 	}
 	er.sealed = true
-	if er.ingest != nil {
-		er.ingest.close()
-	}
-	abort := protocol.Abort{TaskID: er.cfg.TaskID, Round: er.cfg.Round, Reason: reason}
-	for _, d := range er.devices {
-		if !d.reported && !d.lost {
-			sendThenClose(d.conn, abort)
-		}
-	}
-	for _, sel := range er.selectors {
-		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Accept: 0})
-	}
+	er.ingest.close()
+	er.abortUnreported(protocol.Abort{TaskID: er.cfg.TaskID, Round: er.cfg.Round, Reason: reason})
+	er.revokeQuota()
 	er.release()
 	er.lingerThenStop(ctx)
 }

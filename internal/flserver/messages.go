@@ -1,9 +1,10 @@
 // Package flserver implements the FL server of Sec. 4: an actor-based
 // architecture with Coordinators (one per FL population, registered in a
 // shared locking service), Selectors (accept and forward device
-// connections), and per-round Master Aggregators that delegate to
-// ephemeral Aggregator actors. All round state lives in actor memory; only
-// the fully aggregated result is committed to storage.
+// connections), and per-round Master Aggregators whose per-device
+// aggregation work runs on report-reader goroutines at the edge. All round
+// state lives in actor memory; only the fully aggregated result is
+// committed to storage.
 //
 // The actors exchange the message types in this file. Device connections
 // are transport.Conn streams; a goroutine per connection turns wire
@@ -15,16 +16,14 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
-	"repro/internal/fedavg"
 	"repro/internal/plan"
 	"repro/internal/protocol"
-	"repro/internal/robust"
 	"repro/internal/tasks"
 	"repro/internal/transport"
 )
 
 // heldDevice is an accepted device connection parked in a Selector, ready
-// to be forwarded to an Aggregator.
+// to be forwarded to a round.
 type heldDevice struct {
 	ID             string
 	RuntimeVersion int
@@ -173,8 +172,8 @@ type msgReportTimeout struct{}
 
 // msgReportDone is the fixed-size outcome of one device's report, posted by
 // its connection reader after the O(dim) work already happened at the edge
-// (decode-and-accumulate into a stripe for non-secure rounds, decode into a
-// pooled group-Aggregator input for secure ones). Only round accounting
+// (decode-and-accumulate into a stripe for plaintext rounds, decode into a
+// pooled vector of the round's retention buffer otherwise). Only round accounting
 // crosses the Master Aggregator's mailbox — never a parameter vector.
 type msgReportDone struct {
 	DeviceID string
@@ -186,54 +185,6 @@ type msgReportDone struct {
 // msgDeviceLost is posted when a device connection dies before reporting.
 type msgDeviceLost struct {
 	DeviceID string
-}
-
-// msgFinalizeGroup tells an Aggregator to deliver its partial aggregate.
-// For non-secure rounds it carries the Aggregator's share of the round's
-// edge-accumulation stripes to merge first — the aggregation tree of
-// Sec. 4.3: readers fold into stripes, group Aggregators merge stripes,
-// the Master Aggregator merges group partials.
-type msgFinalizeGroup struct {
-	Stripes []*fedavg.PartialAccumulator
-	// Assigned lists the device ids configured into this group, in
-	// assignment order. Secure groups derive their secagg instance size
-	// from it: devices that were configured but never delivered an update
-	// (connection died, timed out, aborted) become real dropouts in the
-	// protocol's churn schedule rather than silently shrinking the group.
-	// Empty means "size the instance by what was delivered" (legacy/test
-	// paths).
-	Assigned []string
-	// Robust is the round's per-update retention buffer (trimmed mean /
-	// median / cosine policies); the receiving Aggregator drains it and
-	// runs the robust reduce in place of a stripe merge. Handed to exactly
-	// one group per round, already sealed by the Master Aggregator.
-	Robust *robust.Buffer
-}
-
-// msgGroupResult is an Aggregator's partial aggregate for the round.
-type msgGroupResult struct {
-	From    actor.Ref
-	Sum     []float64
-	Weight  float64
-	Count   int
-	Metrics map[string][]float64 // metric name -> per-device values
-	// Err reports a finalization failure (e.g. the secagg run aborted).
-	// The group's model updates are lost, but Count and Metrics still
-	// describe the reports that never depended on the secure path.
-	Err string
-	// Blamed lists devices the secagg run excluded or rejected with an
-	// attributed reason ("deviceID: reason") — poisoned share dealers,
-	// forged unmask responders. Populated on success and on abort.
-	Blamed []string
-	// Phases maps secagg phase name (advertise, share, commit, unmask) to
-	// the wall time this group spent in it, for the round tracer. Nil for
-	// insecure groups (a robust reduce reports its cost under
-	// "robust_reduce").
-	Phases map[string]time.Duration
-	// RobustRejected lists devices the round's robust policy rejected or
-	// attributed, each as "deviceID: reason" — the defense-hit counterpart
-	// of Blamed.
-	RobustRejected []string
 }
 
 // --- Coordinator messages ---
@@ -281,7 +232,7 @@ type msgStopCoordinator struct{}
 
 // msgAbandonRound tells a Master Aggregator to fail its round immediately
 // (e.g. the population was deregistered mid-round): device connections are
-// closed and group Aggregators stopped.
+// closed and in-flight reports refused.
 type msgAbandonRound struct {
 	Reason string
 }

@@ -241,7 +241,11 @@ type CheckinRouter struct {
 	selectors []actor.Ref
 	hinter    *Hinter
 	nextSel   uint64
-	handlers  sync.WaitGroup
+	// mu orders every handlers.Add before Wait: a connection accepted
+	// once Wait has begun is closed instead of handled.
+	mu       sync.Mutex
+	waiting  bool
+	handlers sync.WaitGroup
 }
 
 // NewCheckinRouter builds the accept path over a Selector layer.
@@ -256,7 +260,14 @@ func (r *CheckinRouter) Serve(l transport.Listener) {
 		if err != nil {
 			return
 		}
+		r.mu.Lock()
+		if r.waiting {
+			r.mu.Unlock()
+			_ = conn.Close()
+			continue
+		}
 		r.handlers.Add(1)
+		r.mu.Unlock()
 		go func() {
 			defer r.handlers.Done()
 			r.handleConn(conn)
@@ -284,4 +295,9 @@ func (r *CheckinRouter) handleConn(conn transport.Conn) {
 
 // Wait blocks until in-flight connection handlers finish (teardown, after
 // the listener closed).
-func (r *CheckinRouter) Wait() { r.handlers.Wait() }
+func (r *CheckinRouter) Wait() {
+	r.mu.Lock()
+	r.waiting = true
+	r.mu.Unlock()
+	r.handlers.Wait()
+}

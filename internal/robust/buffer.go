@@ -117,9 +117,9 @@ func Release(updates []Update) {
 	}
 }
 
-// vecPool recycles decode buffers across rounds, mirroring the report
-// path's update buffer pool: steady-state retention rounds allocate no
-// O(dim) vectors per report.
+// vecPool recycles decode buffers across rounds — the one vector pool of
+// the report path, shared by per-update robust and secure rounds:
+// steady-state retention rounds allocate no O(dim) vectors per report.
 var vecPool sync.Pool
 
 func getVec(dim int) tensor.Vector {

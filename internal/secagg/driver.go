@@ -82,7 +82,7 @@ func Run(cfg Config, inputs map[int][]float64, dropAfterShare, dropAfterMask []i
 }
 
 // RunSchedule executes a complete Secure Aggregation instance in-process
-// under an injected churn schedule. It exists for the Aggregator actor,
+// under an injected churn schedule. It exists for the server's secure groups,
 // the simulator, and the benchmarks: the caller hands it per-group inputs
 // plus a Schedule, and receives the group sum with attribution.
 //

@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/field"
 )
@@ -129,6 +130,11 @@ const prgChunkElems = 512
 // raw keystream without first clearing the destination.
 var zeroChunk [8 * prgChunkElems]byte
 
+// chunkPool recycles prgApply's keystream chunk: a round expands hundreds
+// of masks per group, and a fresh chunk per expansion was a fifth of a
+// secure round's garbage.
+var chunkPool = sync.Pool{New: func() any { return new([8 * prgChunkElems]byte) }}
+
 // prgApply expands a 32-byte seed with AES-256-CTR and adds (sub=false) or
 // subtracts (sub=true) the resulting field elements into dst, streaming in
 // fixed-size chunks. Both the device and the server (after reconstruction)
@@ -146,11 +152,8 @@ func prgApply(seed []byte, dst []uint64, sub bool) {
 	}
 	var iv [aes.BlockSize]byte
 	stream := cipher.NewCTR(block, iv[:])
-	bufLen := len(dst)
-	if bufLen > prgChunkElems {
-		bufLen = prgChunkElems
-	}
-	buf := make([]byte, 8*bufLen)
+	buf := chunkPool.Get().(*[8 * prgChunkElems]byte)
+	defer chunkPool.Put(buf)
 	for off := 0; off < len(dst); off += prgChunkElems {
 		n := len(dst) - off
 		if n > prgChunkElems {

@@ -2,7 +2,7 @@
 // global model checkpoints and materialized round metrics (Sec. 7.4). Per
 // the design, *nothing* reaches this layer until a round's aggregate is
 // final (Sec. 4.2: "No information for a round is written to persistent
-// storage until it is fully aggregated") — the aggregator actors enforce
+// storage until it is fully aggregated") — the per-round actors enforce
 // that; this package just stores what they commit.
 package storage
 
