@@ -23,7 +23,8 @@ import (
 // round to assert marshals stay O(distinct runtime versions), not O(devices).
 var planMarshals atomic.Int64
 
-// deviceState tracks one selected device through a round.
+// deviceState tracks one selected device through a round (a Master
+// Aggregator's or an EdgeRound's).
 type deviceState struct {
 	held     heldDevice
 	reported bool
@@ -32,6 +33,13 @@ type deviceState struct {
 	// claim decides who answers the device: its report reader or the
 	// window close (see reportReader.read).
 	claim atomic.Bool
+}
+
+// claimUnanswered takes the answer claim of a device that has neither
+// reported nor been lost, for the window close to answer it. It fails when
+// the device's reader claimed its report first.
+func (ds *deviceState) claimUnanswered() bool {
+	return !ds.reported && !ds.lost && ds.claim.CompareAndSwap(false, true)
 }
 
 // MasterAggregator manages one round of one FL task (Sec. 4.2): selection
@@ -157,7 +165,7 @@ func requestDevices(selectors []actor.Ref, population string, admit int, round a
 		if i < admit%len(selectors) {
 			n++
 		}
-		send(sel, msgSetQuota{Population: population, Accept: n})
+		send(sel, msgSetQuota{Population: population, Accept: n, Round: round})
 		send(sel, msgForwardDevices{Population: population, N: n, To: round})
 	}
 }
@@ -408,7 +416,7 @@ func (ma *MasterAggregator) finalize(ctx *actor.Context) {
 	abort := protocol.Abort{TaskID: ma.plan.ID, Round: ma.global.Round, Reason: "enough devices completed"}
 	for _, id := range ma.order {
 		ds := ma.devices[id]
-		if !ds.reported && !ds.lost && ds.claim.CompareAndSwap(false, true) {
+		if ds.claimUnanswered() {
 			ds.aborted = true
 			ma.aborted++
 			sendThenClose(ds.held.Conn, abort)
@@ -516,7 +524,7 @@ func (ma *MasterAggregator) fail(ctx *actor.Context, reason string) {
 		ma.retained.Close()
 	}
 	for _, ds := range ma.devices {
-		if !ds.reported && !ds.lost && ds.claim.CompareAndSwap(false, true) {
+		if ds.claimUnanswered() {
 			_ = ds.held.Conn.Close()
 		}
 	}

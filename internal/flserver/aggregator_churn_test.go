@@ -2,12 +2,14 @@ package flserver
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/actor"
+	"repro/internal/checkpoint"
 	"repro/internal/robust"
 	"repro/internal/secagg"
 	"repro/internal/storage"
@@ -24,13 +26,13 @@ func assignedNames(prefix string, delivered int, lost ...string) []string {
 	return append(out, lost...)
 }
 
-// feedSecureGroup retains count updates of devices prefix0.. — each Params
-// {1,2} Weight 1 — through a secure round's reader into buf.
-func feedSecureGroup(t *testing.T, self actor.Ref, buf *robust.Buffer, prefix string, count int, metrics map[string]float64) {
+// feedSecureGroup retains count copies of u from devices prefix0..
+// through a secure round's reader into buf.
+func feedSecureGroup(t *testing.T, self actor.Ref, buf *robust.Buffer, prefix string, count int, u *checkpoint.Checkpoint, metrics map[string]float64) {
 	t.Helper()
 	rr := reportReader{self: self, dim: 2, buf: buf, withWeight: true}
 	for _, id := range assignedNames(prefix, count) {
-		if resp := report(t, rr, id, update(1, 1, 2), metrics); !resp.Accepted {
+		if resp := report(t, rr, id, u, metrics); !resp.Accepted {
 			t.Fatalf("%s rejected: %s", id, resp.Reason)
 		}
 	}
@@ -49,12 +51,14 @@ func average(t *testing.T, o RoundOutcome) tensor.Vector {
 // churnedGroups closes a round of two secure groups under live churn: both
 // groups carry a configured-but-lost device, group 0's dealer a1 poisons
 // its shares, group 1's responder b0 forges its unmask reveal — all while
-// the two secagg runs execute concurrently.
+// the two secagg runs execute concurrently. Group 0's devices each report
+// (1,2) and group 1's (3,4), all with weight 1, so the merged sum pins how
+// many survivors each group contributed.
 func churnedGroups(t *testing.T, self actor.Ref) RoundOutcome {
 	t.Helper()
 	buf := robust.NewBuffer(3)
-	feedSecureGroup(t, self, buf, "a", 5, nil)
-	feedSecureGroup(t, self, buf, "b", 5, nil)
+	feedSecureGroup(t, self, buf, "a", 5, update(1, 1, 2), nil)
+	feedSecureGroup(t, self, buf, "b", 5, update(1, 3, 4), nil)
 	p := secureParams{dim: 2, churn: func(g, n, tt int) secagg.Schedule {
 		if g == 0 {
 			// Participant 2 (device a1) deals poisoned shares: excluded
@@ -92,14 +96,17 @@ func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 	if !strings.HasPrefix(o.Blamed[1], "b0: ") || !strings.Contains(o.Blamed[1], "forged") {
 		t.Fatalf("forging responder b0 not blamed: %v", o.Blamed)
 	}
-	// Group A: 6 assigned, 1 lost, 1 poisoned-and-excluded → 4 survivors.
-	// Group B: the forger's masked input was already in the online sum — it
-	// survives as data even though its response was rejected → 5.
+	// Group A: 6 assigned, 1 lost, 1 poisoned-and-excluded → 4 survivors,
+	// sum (4, 8). Group B: the forger's masked input was already in the
+	// online sum — it survives as data even though its response was
+	// rejected → 5 survivors, sum (15, 20). With weight 9, a first
+	// coordinate of 19 = a + 3b admits only a = 4, b = 5 (a 5 + 4 split
+	// would read 17).
 	if o.Reports != 9 || o.Acc.Weight() != 9 {
 		t.Fatalf("reports %d, weight %v; want 4 + 5 survivors", o.Reports, o.Acc.Weight())
 	}
-	if avg := average(t, o); avg[0] != 1 || avg[1] != 2 {
-		t.Fatalf("average %v, want (9, 18) / 9", avg)
+	if avg := average(t, o); math.Abs(avg[0]*9-19) > 1e-4 || math.Abs(avg[1]*9-28) > 1e-4 {
+		t.Fatalf("sum %v, want group A (4, 8) + group B (15, 20) = (19, 28)", []float64{avg[0] * 9, avg[1] * 9})
 	}
 }
 
@@ -111,7 +118,7 @@ func TestSecureGroupLostDevicesBecomeDropouts(t *testing.T) {
 	self, _, _ := collectMaster(sys)
 	defer sys.Shutdown(self)
 	buf := robust.NewBuffer(3)
-	feedSecureGroup(t, self, buf, "d", 4, nil)
+	feedSecureGroup(t, self, buf, "d", 4, update(1, 1, 2), nil)
 
 	o := closeSecure(secureParams{dim: 2}, buf, [][]string{assignedNames("d", 4, "d-lost")})
 	if len(o.GroupErrors) != 0 {
@@ -136,7 +143,7 @@ func TestSecureGroupBelowThresholdAbortsWithMetrics(t *testing.T) {
 	self, _, _ := collectMaster(sys)
 	defer sys.Shutdown(self)
 	buf := robust.NewBuffer(3)
-	feedSecureGroup(t, self, buf, "d", 3, map[string]float64{"train_loss": 0.5})
+	feedSecureGroup(t, self, buf, "d", 3, update(1, 1, 2), map[string]float64{"train_loss": 0.5})
 
 	// 8 assigned, 3 delivered: below the majority threshold 5.
 	o := closeSecure(secureParams{dim: 2}, buf, [][]string{assignedNames("d", 3, "l1", "l2", "l3", "l4", "l5")})
@@ -158,7 +165,7 @@ func TestSecureThresholdFractionOverride(t *testing.T) {
 	self, _, _ := collectMaster(sys)
 	defer sys.Shutdown(self)
 	buf := robust.NewBuffer(3)
-	feedSecureGroup(t, self, buf, "d", 4, nil)
+	feedSecureGroup(t, self, buf, "d", 4, update(1, 1, 2), nil)
 
 	// Tolerate up to half the group: t = ⌈0.5 n⌉. 8 assigned, 4 delivered:
 	// the majority default (5) would abort, the relaxed threshold (4)
@@ -199,7 +206,7 @@ func TestSecureFinalizeWatchdogUnstallsGroup(t *testing.T) {
 	self, _, _ := collectMaster(sys)
 	defer sys.Shutdown(self)
 	buf := robust.NewBuffer(3)
-	feedSecureGroup(t, self, buf, "d", 3, nil)
+	feedSecureGroup(t, self, buf, "d", 3, update(1, 1, 2), nil)
 
 	o := closeSecure(secureParams{dim: 2, timeout: 100 * time.Millisecond}, buf, [][]string{assignedNames("d", 3)})
 	if len(o.GroupErrors) != 1 || !strings.Contains(o.GroupErrors[0], "exceeded") {

@@ -92,16 +92,6 @@ const defaultEdgeRoundLinger = 2 * time.Second
 // whatever this shard holds.
 type msgEdgeFinalize struct{}
 
-// edgeDev is one configured device's accounting on an edge round.
-type edgeDev struct {
-	conn     transport.Conn
-	reported bool
-	lost     bool
-	// claim decides who answers the device: its report reader or the
-	// seal (see reportReader.read).
-	claim atomic.Bool
-}
-
 // EdgeRound runs one round's device-facing half on a selector shard: it
 // requests devices from the shard's local Selectors, streams each arrival
 // its configuration (the pre-framed plan+checkpoint response, built once),
@@ -118,7 +108,7 @@ type EdgeRound struct {
 
 	ingest    *roundIngest
 	resp      *transport.Encoded
-	devices   map[string]*edgeDev
+	devices   map[string]*deviceState
 	completed int
 	lost      int
 	sealed    bool
@@ -143,10 +133,9 @@ type EdgeRound struct {
 	obsClipped *obs.Counter
 }
 
-// NewEdgeRound returns the behavior for one shard-local round. ship runs
-// once the round's last message to its Selectors (the quota revocation) has
-// been delivered, off the actor goroutine, and must not block (hand the
-// seal to a peer link or a channel).
+// NewEdgeRound returns the behavior for one shard-local round. ship runs on
+// the actor goroutine and must not block (hand the seal to a peer link or a
+// channel).
 func NewEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal)) *EdgeRound {
 	if cfg.Target < 1 {
 		cfg.Target = 1
@@ -164,7 +153,7 @@ func NewEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal
 		cfg:       cfg,
 		selectors: selectors,
 		ship:      ship,
-		devices:   make(map[string]*edgeDev),
+		devices:   make(map[string]*deviceState),
 	}
 }
 
@@ -242,7 +231,7 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 			})
 			continue
 		}
-		dev := &edgeDev{conn: d.Conn}
+		dev := &deviceState{held: d}
 		er.devices[d.ID] = dev
 		jobs = append(jobs, configJob{deviceID: d.ID, conn: d.Conn, resp: er.resp, claim: &dev.claim})
 	}
@@ -301,19 +290,20 @@ func (er *EdgeRound) topUp(ctx *actor.Context, n int) {
 func (er *EdgeRound) abortUnreported(abort protocol.Abort) int {
 	aborted := 0
 	for _, d := range er.devices {
-		if !d.reported && !d.lost && d.claim.CompareAndSwap(false, true) {
+		if d.claimUnanswered() {
 			aborted++
-			sendThenClose(d.conn, abort)
+			sendThenClose(d.held.Conn, abort)
 		}
 	}
 	return aborted
 }
 
 // revokeQuota zeroes this round's quota at every Selector, queued behind
-// any top-up the round sent before.
-func (er *EdgeRound) revokeQuota() {
+// any top-up the round sent before. A Selector whose quota a later round's
+// grant already replaced ignores it.
+func (er *EdgeRound) revokeQuota(self actor.Ref) {
 	for _, sel := range er.selectors {
-		er.out.send(sel, msgSetQuota{Population: er.cfg.Population, Accept: 0})
+		er.out.send(sel, msgRevokeQuota{Population: er.cfg.Population, Round: self})
 	}
 }
 
@@ -329,24 +319,17 @@ type outbox struct {
 	running bool
 }
 
-// outMsg is one queued send, or (fn set) a call made in its place.
+// outMsg is one queued send.
 type outMsg struct {
 	to  actor.Ref
 	msg actor.Message
-	fn  func()
 }
 
-// send queues msg for to.
-func (o *outbox) send(to actor.Ref, msg actor.Message) { o.push(outMsg{to: to, msg: msg}) }
-
-// then queues fn to run once every send queued before it was delivered.
-func (o *outbox) then(fn func()) { o.push(outMsg{fn: fn}) }
-
-// push queues m and starts the drain goroutine if it is idle.
-func (o *outbox) push(m outMsg) {
+// send queues msg for to and starts the drain goroutine if it is idle.
+func (o *outbox) send(to actor.Ref, msg actor.Message) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.queue = append(o.queue, m)
+	o.queue = append(o.queue, outMsg{to: to, msg: msg})
 	if !o.running {
 		o.running = true
 		go o.drain()
@@ -362,23 +345,17 @@ func (o *outbox) drain() {
 			return
 		}
 		m := o.queue[0]
-		// Drop the delivered item, or the lingering round would pin what
-		// it references (the shipped seal's O(dim) sum) until it stops.
 		o.queue[0] = outMsg{}
 		o.queue = o.queue[1:]
 		o.mu.Unlock()
-		if m.fn != nil {
-			m.fn()
-		} else {
-			_ = m.to.Send(m.msg)
-		}
+		_ = m.to.Send(m.msg)
 	}
 }
 
 // seal closes the window: unreported devices are aborted, stripes are
 // sealed (a reader racing the close gets ErrPartialClosed and answers its
 // device "window closed") and merged into one SealedStripe, quota is
-// revoked, and the seal ships upstream once the revocation is delivered.
+// revoked (queued behind the round's top-ups), and the seal ships upstream.
 // The actor lingers briefly to abort devices a Selector streamed
 // concurrently with the seal, then stops — an edge round, like a Master
 // Aggregator, is per-round ephemeral.
@@ -397,7 +374,7 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 		// this shard rather than waiting out its straggler timeout.
 		sealed = fedavg.SealedStripe{}
 	}
-	er.revokeQuota()
+	er.revokeQuota(ctx.Self)
 	er.release()
 	if er.ship != nil {
 		phases := map[string]int64{
@@ -420,10 +397,7 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 			Clipped:    er.clipped.Load(),
 			Phases:     phases,
 		}
-		// The seal ships only after the quota revocation above reached the
-		// Selectors: the coordinator starts the next round on this seal, and
-		// that round's quota grant must not be overtaken by this revocation.
-		er.out.then(func() { er.ship(seal) })
+		er.ship(seal)
 	}
 	er.lingerThenStop(ctx)
 }
@@ -451,7 +425,7 @@ func (er *EdgeRound) abandon(ctx *actor.Context, reason string) {
 	er.sealed = true
 	er.ingest.close()
 	er.abortUnreported(protocol.Abort{TaskID: er.cfg.TaskID, Round: er.cfg.Round, Reason: reason})
-	er.revokeQuota()
+	er.revokeQuota(ctx.Self)
 	er.release()
 	er.lingerThenStop(ctx)
 }

@@ -46,6 +46,18 @@ type msgSetQuota struct {
 	Population string
 	// Accept is the number of additional devices the Selector may hold.
 	Accept int
+	// Round is the round the quota serves, from now on the population's
+	// quota owner (nil: none).
+	Round actor.Ref
+}
+
+// msgRevokeQuota zeroes the quota a round was granted once the round sealed
+// or was abandoned, and cancels its forward stream. It applies only while
+// Round still owns the population's quota: a revocation that a later
+// round's grant overtook is stale and ignored.
+type msgRevokeQuota struct {
+	Population string
+	Round      actor.Ref
 }
 
 // msgForwardDevices instructs a Selector to send up to N of a population's

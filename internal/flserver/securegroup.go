@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/fedavg"
@@ -27,9 +26,8 @@ type secureParams struct {
 	// threshold maps group size n to the Shamir threshold t; nil defaults
 	// to the majority n/2 + 1.
 	threshold func(n int) int
-	// timeout bounds one group's run, waiting for a secaggGate slot
-	// included; 0 waits forever. A run that exceeds it is abandoned with an
-	// attributed group error instead of stalling the round.
+	// timeout is a window close's deadline for its group runs (see
+	// collectGroups); 0 waits forever.
 	timeout time.Duration
 	// churn, when set (tests), injects additional mid-protocol churn into
 	// group g's schedule on top of the real losses.
@@ -61,9 +59,9 @@ type groupSum struct {
 // closeSecure is a secure round's window close: it drains the round's
 // retention buffer, splits the delta‖weight inputs into the groups whose
 // configured devices assigned lists (secagg.GroupSpans order), runs one
-// secagg instance per group concurrently, and merges the group sums. A
-// failed group costs its updates only: the round's metrics and eval counts
-// never went through the secure path and are kept whole.
+// secagg instance per group concurrently (collectGroups), and merges the
+// group sums. A failed group costs its updates only: the round's metrics
+// and eval counts never went through the secure path and are kept whole.
 func closeSecure(p secureParams, buf *robust.Buffer, assigned [][]string) RoundOutcome {
 	updates, evalCount, metrics := buf.Drain()
 	groups := make([]secureGroup, len(assigned))
@@ -80,16 +78,7 @@ func closeSecure(p secureParams, buf *robust.Buffer, assigned [][]string) RoundO
 			grp.inputs = append(grp.inputs, u)
 		}
 	}
-	results := make([]groupSum, len(groups))
-	var wg sync.WaitGroup
-	for g := range groups {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results[g] = runSecureGroup(p, g, groups[g])
-		}(g)
-	}
-	wg.Wait()
+	results := collectGroups(p, groups)
 
 	out := RoundOutcome{Acc: fedavg.NewAccumulator(p.dim), Reports: evalCount, Metrics: metrics, Phases: make(map[string]int64)}
 	for _, r := range results {
@@ -115,13 +104,49 @@ func closeSecure(p secureParams, buf *robust.Buffer, assigned [][]string) RoundO
 	return out
 }
 
+// collectGroups starts every group's secagg run on its own goroutine and
+// collects the results under one deadline, p.timeout (waiting for a
+// secaggGate slot included; 0 waits forever). A group still running at the
+// deadline is abandoned with an attributed error instead of stalling the
+// round; its run finishes into the buffered channel nobody reads any more.
+func collectGroups(p secureParams, groups []secureGroup) []groupSum {
+	type result struct {
+		g   int
+		sum groupSum
+	}
+	done := make(chan result, len(groups))
+	for g := range groups {
+		go func(g int) { done <- result{g, runSecureGroup(p, g, groups[g])} }(g)
+	}
+	var deadline <-chan time.Time
+	if p.timeout > 0 {
+		timer := time.NewTimer(p.timeout)
+		defer timer.Stop()
+		deadline = timer.C
+	}
+	// Until its run reports, a group's outcome is abandonment.
+	results := make([]groupSum, len(groups))
+	for g := range results {
+		results[g] = groupSum{err: fmt.Sprintf("secagg: finalization exceeded %v; group abandoned", p.timeout)}
+	}
+	for range groups {
+		select {
+		case r := <-done:
+			results[r.g] = r.sum
+		case <-deadline:
+			return results
+		}
+	}
+	return results
+}
+
 // runSecureGroup runs Secure Aggregation over one group's inputs, so the
 // group sum is produced without the aggregate code path ever handling an
 // unmasked individual update. The instance is sized by the devices
 // assigned to the group, not by what happened to arrive: a configured
 // device that never delivered is a real protocol dropout. The inputs'
 // pooled vectors are released once the protocol consumed them.
-func runSecureGroup(p secureParams, g int, grp secureGroup) groupSum {
+func runSecureGroup(p secureParams, g int, grp secureGroup) (out groupSum) {
 	delivered := len(grp.inputs)
 	if delivered == 0 {
 		return groupSum{}
@@ -180,51 +205,36 @@ func runSecureGroup(p secureParams, g int, grp secureGroup) groupSum {
 	}
 	cfg := secagg.Config{N: n, T: t, VectorLen: p.dim + 1}
 
-	done := make(chan groupSum, 1)
-	go func() {
-		// Convert a protocol panic into a failed group so it costs the
-		// group, not the process.
-		defer func() {
-			if r := recover(); r != nil {
-				done <- groupSum{err: fmt.Sprintf("secagg panic: %v", r)}
-			}
-		}()
-		secaggGate <- struct{}{}
-		defer func() { <-secaggGate }()
-		res, err := secagg.RunSchedule(cfg, inputs, sched)
-		// The protocol consumed the inputs (Encode copies them into field
-		// elements); hand the vectors back so the next round's readers
-		// reuse them instead of allocating O(group × dim).
-		robust.Release(grp.inputs)
-		var out groupSum
-		if err != nil {
-			out.err = err.Error()
+	// Convert a protocol panic into a failed group so it costs the group,
+	// not the process.
+	defer func() {
+		if r := recover(); r != nil {
+			out = groupSum{err: fmt.Sprintf("secagg panic: %v", r)}
 		}
-		if res != nil {
-			out.phases = res.Phases
-			for id, why := range res.Blamed {
-				name := fmt.Sprintf("participant-%d", id)
-				if id >= 1 && id <= n {
-					name = names[id-1]
-				}
-				out.blamed = append(out.blamed, name+": "+why)
-			}
-			sort.Strings(out.blamed)
-			if err == nil {
-				out.sum, out.weight, out.count = tensor.Vector(res.Sum[:p.dim]), res.Sum[p.dim], len(res.Survivors)
-			}
-		}
-		done <- out
 	}()
-	if p.timeout <= 0 {
-		return <-done
+	secaggGate <- struct{}{}
+	defer func() { <-secaggGate }()
+	res, err := secagg.RunSchedule(cfg, inputs, sched)
+	// The protocol consumed the inputs (Encode copies them into field
+	// elements); hand the vectors back so the next round's readers reuse
+	// them instead of allocating O(group × dim).
+	robust.Release(grp.inputs)
+	if err != nil {
+		out.err = err.Error()
 	}
-	watchdog := time.NewTimer(p.timeout)
-	defer watchdog.Stop()
-	select {
-	case out := <-done:
-		return out
-	case <-watchdog.C:
-		return groupSum{err: fmt.Sprintf("secagg: finalization exceeded %v; group abandoned", p.timeout)}
+	if res != nil {
+		out.phases = res.Phases
+		for id, why := range res.Blamed {
+			name := fmt.Sprintf("participant-%d", id)
+			if id >= 1 && id <= n {
+				name = names[id-1]
+			}
+			out.blamed = append(out.blamed, name+": "+why)
+		}
+		sort.Strings(out.blamed)
+		if err == nil {
+			out.sum, out.weight, out.count = tensor.Vector(res.Sum[:p.dim]), res.Sum[p.dim], len(res.Survivors)
+		}
 	}
+	return out
 }

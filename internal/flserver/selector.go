@@ -49,12 +49,33 @@ type selPop struct {
 	// flow to the round as they arrive.
 	pendingTo actor.Ref
 	pendingN  int
+	// owner is the round the current quota was granted to (msgSetQuota's
+	// Round); revocations and top-ups from any other round are stale.
+	owner actor.Ref
 
 	// arrivals counts this population's check-ins since rateStart; the
 	// Coordinator drains the window via msgRateProbe to maintain a live
 	// population estimate from observed check-in rates.
 	arrivals  int64
 	rateStart time.Time
+}
+
+// setQuota grants accept slots to round. A grant replaces whatever quota
+// remained: the old slots are revoked, the new ones granted.
+func (p *selPop) setQuota(accept int, round actor.Ref) {
+	p.owner = round
+	p.revoked += int64(p.quota)
+	p.granted += int64(accept)
+	p.quota = accept
+	p.seen = 0
+	if accept > 0 {
+		p.demand = accept
+	} else {
+		// Revocation (the round sealed or was abandoned): cancel the forward
+		// stream too, so a stale destination can never receive devices
+		// accepted under a later round's quota.
+		p.pendingTo, p.pendingN = nil, 0
+	}
 }
 
 // minRateWindow is the shortest sampling window a Selector will answer a
@@ -142,20 +163,12 @@ func (s *Selector) Receive(ctx *actor.Context, msg actor.Message) {
 		s.deregister(m.Name)
 	case msgSetQuota:
 		if p, ok := s.pops[m.Population]; ok {
-			// A grant replaces whatever quota remained: the old slots are
-			// revoked, the new ones granted.
-			p.revoked += int64(p.quota)
-			p.granted += int64(m.Accept)
-			p.quota = m.Accept
-			p.seen = 0
-			if m.Accept > 0 {
-				p.demand = m.Accept
-			} else {
-				// Revocation (the round sealed or was abandoned): cancel the
-				// forward stream too, so a stale destination can never receive
-				// devices accepted under a later round's quota.
-				p.pendingTo, p.pendingN = nil, 0
-			}
+			p.setQuota(m.Accept, m.Round)
+		}
+	case msgRevokeQuota:
+		if p, ok := s.pops[m.Population]; ok && m.Round == p.owner {
+			// A revocation is a zero grant, made only by the quota's owner.
+			p.setQuota(0, m.Round)
 		}
 	case msgForwardDevices:
 		s.onForward(m)
@@ -453,7 +466,10 @@ func (s *Selector) onForward(m msgForwardDevices) {
 // round, so a replacement device flows to it as soon as one checks in.
 func (s *Selector) onTopUp(m msgQuotaTopUp) {
 	p, ok := s.pops[m.Population]
-	if !ok || m.N <= 0 {
+	if !ok || m.N <= 0 || (p.owner != nil && m.To != p.owner) {
+		// Unknown population, or a top-up from a round whose quota a later
+		// grant already replaced: re-opening quota for it would steal the
+		// current round's stream.
 		return
 	}
 	p.quota += m.N
